@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .environment import format_trace
 from .metrics import FitVariant
-from .scenario import ScenarioError, load_scenario, validate_scenario
+from .scenario import ScenarioError, finite_number, load_scenario, validate_scenario
 from .simulate import fig2_scenario, render_csv, render_json, run_scenario, scenario_trace
 
 __all__ = ["main"]
@@ -20,9 +20,12 @@ __all__ = ["main"]
 def _seed_range(text: str) -> range:
     try:
         first, _, last = text.partition("..")
-        return range(int(first), int(last) + 1)
+        seeds = range(int(first), int(last) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}: A must not exceed B")
+    return seeds
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="fit shape (default: scenario setting, linear)",
         )
         p.add_argument(
-            "--cost-weight", type=float, default=None,
+            "--cost-weight", type=finite_number, default=None,
             help="cost penalty weight (default: scenario setting, 0)",
         )
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")

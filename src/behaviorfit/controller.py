@@ -322,41 +322,30 @@ class Controller:
         self.weight = weight
         self.variant = variant
         self.history: list[Behavior] = []
-        self._seen_figures: set[str] = set()
-
-    @property
-    def context_order(self) -> int:
-        """Number of context figures driving the adaptation: supply and fit
-        plus every environment figure observed so far."""
-        return 2 + len(self._seen_figures)
 
     def step(
         self, state: SystemState, observed_env: Behavior, oracle_next: Behavior | None = None
     ) -> StepResult:
-        prediction: Behavior | None = None
-        if isinstance(self.predictor, Oracle):
-            prediction = oracle_next if oracle_next is not None else observed_env
-        elif self.history:
-            prediction = predict(self.predictor, self.history)
         actions: list[AdaptationAction] = []
-        if prediction is not None and prediction.figures is not None:
-            actions = plan_adaptation(
-                state, prediction, self.capability, self.costs, self.weight, self.variant
-            )
+        if self.history or isinstance(self.predictor, Oracle):
+            lookahead = oracle_next if oracle_next is not None else observed_env
+            prediction = predict(self.predictor, self.history, lookahead)
+            if prediction.figures is not None:
+                actions = plan_adaptation(
+                    state, prediction, self.capability, self.costs, self.weight, self.variant
+                )
         new_state = apply_actions(state, actions, self.capability)
         cost = tick_cost(new_state, self.costs) + self.costs.switch_cost * len(actions)
         new_state = replace(new_state, cum_cost=state.cum_cost + cost)
         report = supply(new_state.behavior, observed_env)
         fit_value = fit(report, self.variant)
         self.history.append(observed_env)
-        self._seen_figures.update(observed_env.figures or ())
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "tick %d: supply=%.4f fit=%.4f actions=%s context_order=%d",
+                "tick %d: supply=%.4f fit=%.4f actions=%s",
                 len(self.history) - 1,
                 report.value,
                 fit_value,
                 [format_action(a) for a in actions],
-                self.context_order,
             )
         return StepResult(new_state, report, fit_value, tuple(actions))

@@ -29,17 +29,18 @@ not both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .behavior import Behavior, BehaviorClass, BehaviorSyntaxError, parse_behavior
+from .behavior import _TOKEN_CLASS, Behavior, BehaviorClass, BehaviorSyntaxError, parse_behavior
 from .controller import Capability, CostModel, Oracle, Persistence, Predictor, WindowMajority
 from .cybernetic import CyberneticClass, parse_class
 from .environment import EnvironmentTrace, TurbulenceSpec, parse_trace
 from .metrics import FitVariant
 from .sensors import SensorNode
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "validate_scenario"]
+__all__ = ["Scenario", "ScenarioError", "finite_number", "load_scenario", "parse_scenario", "validate_scenario"]
 
 
 class ScenarioError(ValueError):
@@ -48,6 +49,9 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
+    """One simulation run. ``cybernetic_class`` is parsed and checked, but
+    no run reads it: it describes the system's organs and drives nothing."""
+
     name: str
     universe: frozenset[str]
     trace: EnvironmentTrace | None = None
@@ -63,6 +67,14 @@ class Scenario:
     variant: FitVariant = FitVariant.LINEAR
     sensors: tuple[SensorNode, ...] = ()
     critical: frozenset[str] = frozenset()
+
+
+def finite_number(value: str) -> float:
+    """``float(value)``, refusing NaN and the infinities."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _figure_list(value: str) -> frozenset[str]:
@@ -85,14 +97,6 @@ def _parse_predictor(value: str) -> Predictor:
         return WindowMajority(int(window))
     raise ValueError(f"unknown predictor {value!r}")
 
-
-_CLASS_BY_TOKEN = {
-    "ran": BehaviorClass.RANDOM,
-    "pur": BehaviorClass.PURPOSEFUL,
-    "rea": BehaviorClass.REACTIVE,
-    "pro": BehaviorClass.PROACTIVE,
-    "soc": BehaviorClass.SOCIAL,
-}
 
 _COST_KEYS = {"figure": "figure_cost", "borrow": "borrow_cost", "class": "class_cost", "switch": "switch_cost"}
 
@@ -138,21 +142,21 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
             elif key == "controller.predictor":
                 scenario.predictor = _parse_predictor(value)
             elif key == "controller.weight":
-                scenario.weight = float(value)
+                scenario.weight = finite_number(value)
             elif key.startswith("costs."):
                 cost = _COST_KEYS.get(key.removeprefix("costs."))
                 if cost is None:
                     raise ValueError(f"unknown cost {key!r}")
-                if float(value) < 0:
+                costs_kwargs[cost] = finite_number(value)
+                if costs_kwargs[cost] < 0:
                     raise ValueError("costs must be non-negative")
-                costs_kwargs[cost] = float(value)
             elif key == "capability.figures":
                 capability_figures = _figure_list(value)
                 have_capability_keys = True
             elif key == "capability.max_class":
-                if value not in _CLASS_BY_TOKEN:
+                if value not in _TOKEN_CLASS:
                     raise ValueError(f"unknown behavior class {value!r}")
-                max_class = _CLASS_BY_TOKEN[value]
+                max_class = _TOKEN_CLASS[value]
                 have_capability_keys = True
             elif key.startswith("peers.") and key.endswith(".figures"):
                 peer = key[len("peers."):-len(".figures")]
@@ -162,10 +166,10 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
                 have_capability_keys = True
             elif key.startswith("sensors."):
                 sensor_id = key.removeprefix("sensors.")
-                figs, _, cost = value.rpartition(" ")
-                if not figs:
+                parts = value.rsplit(None, 1)
+                if len(parts) != 2:
                     raise ValueError("expected '{figures} cost'")
-                sensors.append(SensorNode(sensor_id, _figure_list(figs), float(cost)))
+                sensors.append(SensorNode(sensor_id, _figure_list(parts[0]), finite_number(parts[1])))
             elif key == "critical":
                 scenario.critical = _figure_list(value)
             elif key == "fit.variant":
@@ -186,7 +190,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
                 if name_ in ("seed", "mean_segment_len", "horizon"):
                     kwargs[name_] = int(value)
                 elif name_ in ("class_walk", "figure_flip"):
-                    kwargs[name_] = float(value)
+                    kwargs[name_] = finite_number(value)
                 else:
                     raise ValueError(f"unknown key 'turbulence.{name_}'")
             if "seed" not in kwargs:

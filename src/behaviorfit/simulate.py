@@ -1,5 +1,11 @@
 """Scenario simulation loop and CSV/JSON reporting.
 
+``run_scenario`` walks the trace's segments, works out the awareness mode
+once per segment, and calls ``tick(t, env, mode)`` for each tick's
+``(sys_behavior, supply, fit, actions, cost, cum_cost)``. There is one tick
+function per kind of run, a closure built once per run: a static system,
+the MAPE-K controller, or greedy sensor selection.
+
 CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.
 Behaviors use the textual grammar, negative infinity is written ``-inf``,
@@ -13,7 +19,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .behavior import Behavior, BehaviorClass, format_behavior
 from .controller import Controller, SystemState, format_action, tick_cost
@@ -129,158 +136,91 @@ def run_scenario(
     weight = weight if weight is not None else scenario.weight
     trace = scenario_trace(scenario, seed)
     if scenario.sensors:
-        rows = _run_sensors(scenario, trace, variant)
+        tick = _sensor_tick(scenario, variant)
     elif scenario.predictor is not None:
-        rows = _run_controller(scenario, trace, variant, weight)
+        tick = _controller_tick(scenario, variant, weight)
     else:
-        rows = _run_static(scenario, trace, variant)
+        tick = _static_tick(scenario, variant)
+    with_mode = bool(scenario.sensors or scenario.critical)
+    rows = []
+    for segment in trace.segments:
+        env = segment.behavior
+        mode = awareness_mode(env.figures, scenario.critical) if with_mode else None
+        level = mode.level if mode is not None else None
+        for t in range(segment.start, segment.end):
+            rows.append(TickRow(t, env, *tick(t, env, mode), level))
     return RunReport(scenario.name, tuple(rows), _summarize(rows))
 
 
-def _mode_level(scenario: Scenario, env: Behavior) -> float | None:
-    if not scenario.sensors and not scenario.critical:
-        return None
-    return awareness_mode(env.figures, scenario.critical).level
+def _static_tick(scenario: Scenario, variant: FitVariant) -> Callable[..., tuple]:
+    behavior = scenario.initial_behavior
+    cost = tick_cost(SystemState(behavior), scenario.costs)
+
+    def tick(t, env, mode):
+        report = supply(behavior, env)
+        return behavior, report, fit(report, variant), (), cost, cost * (t + 1)
+
+    return tick
 
 
-def _run_static(scenario: Scenario, trace: EnvironmentTrace, variant: FitVariant) -> list[TickRow]:
+def _controller_tick(scenario: Scenario, variant: FitVariant, weight: float) -> Callable[..., tuple]:
+    controller = Controller(scenario.capability, scenario.costs, scenario.predictor, weight, variant)
     state = SystemState(scenario.initial_behavior)
-    cost = tick_cost(state, scenario.costs)
-    rows = []
-    for t in range(trace.horizon):
-        env = trace.behavior_at(t)
-        report = supply(state.behavior, env)
-        rows.append(
-            TickRow(
-                t,
-                env,
-                state.behavior,
-                report,
-                fit(report, variant),
-                (),
-                cost,
-                cost * (t + 1),
-                _mode_level(scenario, env),
-            )
-        )
-    return rows
 
-
-def _run_controller(
-    scenario: Scenario, trace: EnvironmentTrace, variant: FitVariant, weight: float
-) -> list[TickRow]:
-    controller = Controller(
-        scenario.capability, scenario.costs, scenario.predictor, weight, variant
-    )
-    state = SystemState(scenario.initial_behavior)
-    rows = []
-    for t in range(trace.horizon):
-        env = trace.behavior_at(t)
+    def tick(t, env, mode):
+        nonlocal state
         before = state.cum_cost
         result = controller.step(state, env, oracle_next=env)
         state = result.state
-        rows.append(
-            TickRow(
-                t,
-                env,
-                state.behavior,
-                result.supply,
-                result.fit,
-                tuple(format_action(a) for a in result.actions),
-                state.cum_cost - before,
-                state.cum_cost,
-                _mode_level(scenario, env),
-            )
-        )
-    return rows
+        actions = tuple(format_action(a) for a in result.actions)
+        return state.behavior, result.supply, result.fit, actions, state.cum_cost - before, state.cum_cost
+
+    return tick
 
 
-def _run_sensors(scenario: Scenario, trace: EnvironmentTrace, variant: FitVariant) -> list[TickRow]:
+def _sensor_tick(scenario: Scenario, variant: FitVariant) -> Callable[..., tuple]:
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
     cum = 0.0
-    rows = []
-    for t in range(trace.horizon):
-        env = trace.behavior_at(t)
-        active = env.figures
-        mode = awareness_mode(active, scenario.critical)
-        chosen = sorted(select_sensors(active, scenario.sensors, mode, scenario.critical))
-        covered: frozenset[str] = frozenset()
-        for sensor_id in chosen:
-            covered |= by_id[sensor_id].coverage
+
+    def tick(t, env, mode):
+        nonlocal cum
+        chosen = sorted(select_sensors(env.figures, scenario.sensors, mode, scenario.critical))
         # The sensed behavior mirrors the environment's class: the network
         # tracks the situation, its scope is whatever the sensors cover.
-        system = Behavior(env.klass, figures=covered)
-        cost = sum(by_id[sensor_id].energy_cost for sensor_id in chosen)
+        system = Behavior(env.klass, figures=frozenset().union(*(by_id[i].coverage for i in chosen)))
+        cost = sum(by_id[i].energy_cost for i in chosen)
         cum += cost
         report = supply(system, env)
-        rows.append(
-            TickRow(
-                t,
-                env,
-                system,
-                report,
-                fit(report, variant),
-                tuple(f"activate:{sensor_id}" for sensor_id in chosen),
-                cost,
-                cum,
-                mode.level,
-            )
-        )
-    return rows
+        return system, report, fit(report, variant), tuple(f"activate:{i}" for i in chosen), cost, cum
+
+    return tick
 
 
-def _csv_float(x: float) -> str:
-    return repr(x)
+def _row_fields(row: TickRow, fit_value, actions) -> tuple:
+    """The row's values in ``CSV_COLUMNS`` order, with the fit and the
+    actions already in the renderer's form."""
+    return (row.t, format_behavior(row.env_behavior), format_behavior(row.sys_behavior),
+            row.supply.kind.value, row.supply.value, fit_value, actions, row.cost, row.cum_cost, row.mode)
 
 
 def render_csv(report: RunReport) -> str:
-    # behavior cells carry commas, so fields are quoted the standard way
+    # behavior cells carry commas, so fields are quoted the standard way;
+    # csv writes floats as their repr and None as an empty cell
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            (
-                str(row.t),
-                format_behavior(row.env_behavior),
-                format_behavior(row.sys_behavior),
-                row.supply.kind.value,
-                _csv_float(row.supply.value),
-                _csv_float(row.fit),
-                ";".join(row.actions),
-                _csv_float(row.cost),
-                _csv_float(row.cum_cost),
-                "" if row.mode is None else _csv_float(row.mode),
-            )
-        )
+    writer.writerows(_row_fields(row, row.fit, ";".join(row.actions)) for row in report.rows)
     return buffer.getvalue()
 
 
 def render_json(report: RunReport) -> str:
-    def fit_value(x: float):
-        return "-inf" if x == NEG_INFINITY else x
-
     payload = {
         "name": report.name,
-        "summary": {
-            "ticks": report.summary.ticks,
-            "mean_finite_fit": report.summary.mean_finite_fit,
-            "neg_inf_ticks": report.summary.neg_inf_ticks,
-            "total_cost": report.summary.total_cost,
-        },
+        "summary": asdict(report.summary),
         "rows": [
-            {
-                "t": row.t,
-                "env_behavior": format_behavior(row.env_behavior),
-                "sys_behavior": format_behavior(row.sys_behavior),
-                "supply_kind": row.supply.kind.value,
-                "supply": row.supply.value,
-                "fit": fit_value(row.fit),
-                "actions": list(row.actions),
-                "cost": row.cost,
-                "cum_cost": row.cum_cost,
-                "mode": row.mode,
-            }
+            dict(zip(CSV_COLUMNS, _row_fields(
+                row, "-inf" if row.fit == NEG_INFINITY else row.fit, list(row.actions)
+            )))
             for row in report.rows
         ],
     }

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import behaviorfit
 from behaviorfit.cli import main
 
 TURBULENT = """
@@ -93,6 +96,36 @@ def test_sweep(scenario_file, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["3", "4", "5", "6"]
 
 
+@pytest.mark.parametrize("seeds", ["5..1", "2..1"])
+def test_sweep_rejects_an_empty_seed_range(scenario_file, capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", str(scenario_file), "--seeds", seeds])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty seed range" in captured.err
+
+
+def test_sweep_single_seed_range(scenario_file, capsys):
+    assert main(["sweep", "--scenario", str(scenario_file), "--seeds", "4..4"]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()] == ["seed", "4"]
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_cost_weight_must_be_finite(scenario_file, capsys, weight):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(scenario_file), f"--cost-weight={weight}"])
+    assert exc.value.code == 2
+    assert "--cost-weight" in capsys.readouterr().err
+
+
+def test_non_finite_scenario_number_is_a_validation_failure(tmp_path, capsys):
+    path = tmp_path / "nan.scenario"
+    path.write_text(TURBULENT + "controller.weight = nan\n")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert "controller.weight" in capsys.readouterr().err
+
+
 def test_sweep_needs_turbulence(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text("universe: 1\n0 3 pur{1}\n")
@@ -129,10 +162,14 @@ def test_emit_trace_round_trips_through_a_fixed_trace_run(scenario_file, tmp_pat
 
 
 def test_console_entry_point(scenario_file):
+    # the child imports the same package as this process, installed or not
+    pythonpath = [str(Path(behaviorfit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     proc = subprocess.run(
         [sys.executable, "-m", "behaviorfit.cli", "run", "--scenario", str(scenario_file)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,env_behavior")

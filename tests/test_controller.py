@@ -262,11 +262,3 @@ class TestControllerLoop:
         assert format_action(EnableFigure("3")) == "enable:3"
         assert format_action(BorrowFigure("canary", "5")) == "borrow:canary:5"
         assert format_action(SetClass(BehaviorClass.PROACTIVE)) == "class:proactive"
-
-    def test_context_order_counts_supply_fit_and_seen_figures(self):
-        controller = Controller(FULL_CAP, predictor=Persistence())
-        assert controller.context_order == 2  # supply and fit themselves
-        state = SystemState(b("pur{1}"))
-        state = controller.step(state, b("pur{1,2}")).state
-        controller.step(state, b("pur{3}"))
-        assert controller.context_order == 2 + 3

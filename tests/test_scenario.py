@@ -70,6 +70,13 @@ class TestParse:
         )
         assert s.critical == frozenset("3")
 
+    def test_sensor_line_splits_on_any_whitespace(self):
+        s = parse_scenario("sensors.m1 = {1, 2}\t1.5\nsensors.m2 = {3}  \t 0.5\n")
+        assert s.sensors == (
+            SensorNode("m1", frozenset("12"), 1.5),
+            SensorNode("m2", frozenset("3"), 0.5),
+        )
+
     def test_comments_and_blanks(self):
         s = parse_scenario("# hello\n\nuniverse = 1\nturbulence.seed = 3\n")
         assert s.universe == frozenset("1")
@@ -98,6 +105,10 @@ class TestParse:
             ("system.behavior = zzz\n", "behavior"),
             ("sensors.m1 = {1,2}\n", "m1"),
             ("controller.predictor = majority:x\n", "majority"),
+            ("costs.figure = inf\n", "costs.figure: expected a finite number"),
+            ("controller.weight = nan\n", "controller.weight: expected a finite number"),
+            ("sensors.x = {a} nan\n", "sensors.x: expected a finite number"),
+            ("sensors.x = {a} -inf\n", "sensors.x: expected a finite number"),
         ],
     )
     def test_parse_errors_name_the_line(self, text, match):
