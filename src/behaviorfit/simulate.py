@@ -196,7 +196,7 @@ def _sensor_tick(scenario: Scenario, variant: FitVariant) -> Callable[..., tuple
     return tick
 
 
-def _row_fields(row: TickRow, fit_value, actions) -> tuple:
+def _row_fields(row: TickRow, fit_value: float | str, actions: str | list[str]) -> tuple:
     """The row's values in ``CSV_COLUMNS`` order, with the fit and the
     actions already in the renderer's form."""
     return (row.t, format_behavior(row.env_behavior), format_behavior(row.sys_behavior),
