@@ -7,88 +7,13 @@ organ; and a discrete-tick simulator runs controllers and sensor networks
 against turbulent environment traces.
 """
 
-from .behavior import (
-    Behavior,
-    BehaviorClass,
-    BehaviorSyntaxError,
-    class_rank,
-    comparable,
-    distance,
-    format_behavior,
-    godel_number,
-    parse_behavior,
-    precedes,
-)
-from .controller import (
-    AdaptationAction,
-    BorrowFigure,
-    Capability,
-    Controller,
-    CostModel,
-    DisableFigure,
-    EnableFigure,
-    Oracle,
-    Persistence,
-    Predictor,
-    ReturnFigure,
-    SetClass,
-    StepResult,
-    SystemState,
-    WindowMajority,
-    apply_actions,
-    format_action,
-    plan_adaptation,
-    predict,
-    tick_cost,
-)
-from .cybernetic import (
-    ORGAN_NAMES,
-    CyberneticClass,
-    Dominance,
-    compare_organs,
-    dominates,
-    format_class,
-    organ_relation,
-    parse_class,
-)
-from .environment import (
-    EnvironmentTrace,
-    Segment,
-    SplitMix64,
-    TurbulenceSpec,
-    fig2_trace,
-    format_trace,
-    generate_trace,
-    parse_trace,
-)
-from .metrics import (
-    NEG_INFINITY,
-    FitVariant,
-    SupplyKind,
-    SupplyReport,
-    cost_adjusted_fit,
-    fit,
-    supply,
-)
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, validate_scenario
-from .sensors import (
-    SAFETY_THRESHOLD,
-    OperativeMode,
-    SensorNode,
-    awareness_mode,
-    required_coverage,
-    select_sensors,
-)
-from .simulate import (
-    CSV_COLUMNS,
-    RunReport,
-    RunSummary,
-    TickRow,
-    fig2_scenario,
-    render_csv,
-    render_json,
-    run_scenario,
-    scenario_trace,
-)
+from .behavior import *
+from .controller import *
+from .cybernetic import *
+from .environment import *
+from .metrics import *
+from .scenario import *
+from .sensors import *
+from .simulate import *
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 __all__ = [
     "Behavior",
@@ -38,8 +38,9 @@ LN3 = math.log(3.0)
 LN5 = math.log(5.0)
 
 
-class BehaviorClass(Enum):
-    """The five behavior classes, valued by their rank."""
+class BehaviorClass(IntEnum):
+    """The five behavior classes. Each member is its rank, so classes
+    compare and subtract as integers."""
 
     RANDOM = 1
     PURPOSEFUL = 2
@@ -102,9 +103,7 @@ class Behavior:
 
 def class_rank(value: Behavior | BehaviorClass) -> int:
     """Rank of a behavior class, 1 (random) through 5 (social)."""
-    if isinstance(value, Behavior):
-        return value.klass.value
-    return value.value
+    return int(value.klass if isinstance(value, Behavior) else value)
 
 
 def precedes(b1: Behavior, b2: Behavior) -> bool:
@@ -118,11 +117,8 @@ def precedes(b1: Behavior, b2: Behavior) -> bool:
     3. both proactive with defined figure counts (an arity, or the size of
        a named set) and ``b1``'s count is strictly smaller.
     """
-    r1, r2 = class_rank(b1), class_rank(b2)
-    if r1 < r2:
-        return True
-    if r1 != r2:
-        return False
+    if b1.klass is not b2.klass:
+        return b1.klass < b2.klass
     if b1.figures is not None and b2.figures is not None and b1.figures < b2.figures:
         return True
     if b1.klass is BehaviorClass.PROACTIVE:
@@ -164,14 +160,14 @@ def distance(b1: Behavior, b2: Behavior) -> float:
     inequality hold, and the distance is zero exactly for equal behaviors.
     ``exp(distance)`` is the integer 2^a * 3^b * 5^c (see godel_number).
     """
-    a = abs(class_rank(b1) - class_rank(b2))
+    a = abs(b1.klass - b2.klass)
     b, c = _scope_exponents(b1, b2)
     return a * LN2 + b * LN3 + c * LN5
 
 
 def godel_number(b1: Behavior, b2: Behavior) -> int:
     """Integer encoding of the pair's differences, 2^a * 3^b * 5^c."""
-    a = abs(class_rank(b1) - class_rank(b2))
+    a = abs(b1.klass - b2.klass)
     b, c = _scope_exponents(b1, b2)
     return 2**a * 3**b * 5**c
 

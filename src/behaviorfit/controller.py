@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .behavior import Behavior, BehaviorClass, class_rank
+from .behavior import Behavior, BehaviorClass
 from .metrics import FitVariant, SupplyReport, cost_adjusted_fit, fit, supply
 
 logger = logging.getLogger(__name__)
@@ -199,7 +199,7 @@ def tick_cost(state: SystemState, costs: CostModel) -> float:
     return (
         costs.figure_cost * len(state.local_figures)
         + costs.borrow_cost * len(state.borrowed_figures)
-        + costs.class_cost * class_rank(state.behavior)
+        + costs.class_cost * state.behavior.klass
     )
 
 
@@ -273,7 +273,7 @@ def plan_adaptation(
             actions.append(ReturnFigure(peer, fig))
         else:
             actions.append(DisableFigure(fig))
-    target_class = min(predicted.klass, capability.max_class, key=class_rank)
+    target_class = min(predicted.klass, capability.max_class)
     if target_class is not state.behavior.klass:
         actions.append(SetClass(target_class))
     if not actions:

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .behavior import Behavior, BehaviorSyntaxError, format_behavior, parse_behavior, precedes
+from .behavior import Behavior, BehaviorClass, BehaviorSyntaxError, format_behavior, parse_behavior, precedes
 
 __all__ = [
     "ORGAN_NAMES",
@@ -140,7 +140,7 @@ def parse_class(text: str) -> CyberneticClass:
         except BehaviorSyntaxError as exc:
             raise BehaviorSyntaxError(f"organ {name}: {exc}") from None
     for name, organ in zip(("monitor", "execute"), (organs[0], organs[3])):
-        if organ is not None and organ.klass.name != "PURPOSEFUL":
+        if organ is not None and organ.klass is not BehaviorClass.PURPOSEFUL:
             warnings.warn(
                 f"{name} organ is {format_behavior(organ)!r}; monitor and execute "
                 "organs are normally purposeful",

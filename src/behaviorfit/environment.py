@@ -181,17 +181,17 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
     rng = SplitMix64(spec.seed)
     ordered = sorted(universe)
     figures = {f for f in ordered if rng.random() < 0.5}
-    rank = BehaviorClass.PURPOSEFUL.value
+    klass = BehaviorClass.PURPOSEFUL
     segments = []
     t = 0
     while t < spec.horizon:
         length = min(_geometric(rng, spec.mean_segment_len), spec.horizon - t)
-        behavior = Behavior(BehaviorClass(rank), figures=frozenset(figures))
+        behavior = Behavior(klass, figures=frozenset(figures))
         segments.append(Segment(t, length, behavior))
         t += length
         if rng.random() < spec.class_walk:
             delta = -1 if rng.random() < 0.5 else 1
-            rank = min(5, max(1, rank + delta))
+            klass = BehaviorClass(min(5, max(1, klass + delta)))
         for f in ordered:
             if rng.random() < spec.figure_flip:
                 figures.symmetric_difference_update({f})

@@ -220,37 +220,32 @@ def validate_scenario(s: Scenario) -> list[str]:
     and the rules tying the pieces together.
     """
     violations = []
+
+    def inside_universe(key: str, figures: frozenset[str]) -> None:
+        if not figures <= s.universe:
+            violations.append(f"{key}: figures {sorted(figures - s.universe)} outside universe")
+
     if not s.universe:
         violations.append("universe: must not be empty")
     if (s.trace is None) == (s.turbulence is None):
         violations.append("trace: exactly one of a trace and a turbulence spec must be given")
-    if s.trace is not None and not s.trace.universe <= s.universe:
-        extra = sorted(s.trace.universe - s.universe)
-        violations.append(f"trace: universe figures {extra} outside scenario universe")
+    if s.trace is not None:
+        inside_universe("trace", s.trace.universe)
     if s.initial_behavior.figures is None:
         violations.append("system.behavior: must name its figures")
-    elif not s.initial_behavior.figures <= s.universe:
-        extra = sorted(s.initial_behavior.figures - s.universe)
-        violations.append(f"system.behavior: figures {extra} outside universe")
+    else:
+        inside_universe("system.behavior", s.initial_behavior.figures)
     if s.capability is not None:
-        if not s.capability.universe <= s.universe:
-            extra = sorted(s.capability.universe - s.universe)
-            violations.append(f"capability.figures: figures {extra} outside universe")
+        inside_universe("capability.figures", s.capability.universe)
         for peer, figs in sorted(s.capability.peer_figures.items()):
-            if not figs <= s.universe:
-                extra = sorted(figs - s.universe)
-                violations.append(f"peers.{peer}.figures: figures {extra} outside universe")
+            inside_universe(f"peers.{peer}.figures", figs)
     seen_ids: set[str] = set()
     for sensor in s.sensors:
         if sensor.id in seen_ids:
             violations.append(f"sensors.{sensor.id}: duplicate sensor id")
         seen_ids.add(sensor.id)
-        if not sensor.coverage <= s.universe:
-            extra = sorted(sensor.coverage - s.universe)
-            violations.append(f"sensors.{sensor.id}: coverage figures {extra} outside universe")
-    if not s.critical <= s.universe:
-        extra = sorted(s.critical - s.universe)
-        violations.append(f"critical: figures {extra} outside universe")
+        inside_universe(f"sensors.{sensor.id}", sensor.coverage)
+    inside_universe("critical", s.critical)
     if s.predictor is not None and s.sensors:
         violations.append("controller.predictor: a controller and a sensor inventory are mutually exclusive")
     if s.weight < 0:

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from .behavior import Behavior, BehaviorClass, format_behavior
@@ -127,20 +127,25 @@ def run_scenario(
     """Simulate one scenario tick by tick; deterministic for a fixed seed.
 
     ``seed``, ``variant`` and ``weight`` override the scenario's values
-    (the seed only applies to generated traces).
+    (the seed only applies to generated traces) and are validated with
+    them. Raises ScenarioError if the scenario is invalid or its total
+    cost overflows.
     """
+    scenario = replace(
+        scenario,
+        variant=scenario.variant if variant is None else variant,
+        weight=scenario.weight if weight is None else weight,
+    )
     violations = validate_scenario(scenario)
     if violations:
         raise ScenarioError("scenario is invalid:\n" + "\n".join(violations))
-    variant = variant if variant is not None else scenario.variant
-    weight = weight if weight is not None else scenario.weight
     trace = scenario_trace(scenario, seed)
     if scenario.sensors:
-        tick = _sensor_tick(scenario, variant)
+        tick = _sensor_tick(scenario)
     elif scenario.predictor is not None:
-        tick = _controller_tick(scenario, variant, weight)
+        tick = _controller_tick(scenario)
     else:
-        tick = _static_tick(scenario, variant)
+        tick = _static_tick(scenario)
     with_mode = bool(scenario.sensors or scenario.critical)
     rows = []
     for segment in trace.segments:
@@ -149,11 +154,16 @@ def run_scenario(
         level = mode.level if mode is not None else None
         for t in range(segment.start, segment.end):
             rows.append(TickRow(t, env, *tick(t, env, mode), level))
-    return RunReport(scenario.name, tuple(rows), _summarize(rows))
+    summary = _summarize(rows)
+    # costs are non-negative and cum_cost never falls, so a finite total
+    # means every row's cost and cum_cost is finite too
+    if not math.isfinite(summary.total_cost):
+        raise ScenarioError("costs: the run's total cost overflows to infinity")
+    return RunReport(scenario.name, tuple(rows), summary)
 
 
-def _static_tick(scenario: Scenario, variant: FitVariant) -> Callable[..., tuple]:
-    behavior = scenario.initial_behavior
+def _static_tick(scenario: Scenario) -> Callable[..., tuple]:
+    behavior, variant = scenario.initial_behavior, scenario.variant
     cost = tick_cost(SystemState(behavior), scenario.costs)
 
     def tick(t, env, mode):
@@ -163,8 +173,10 @@ def _static_tick(scenario: Scenario, variant: FitVariant) -> Callable[..., tuple
     return tick
 
 
-def _controller_tick(scenario: Scenario, variant: FitVariant, weight: float) -> Callable[..., tuple]:
-    controller = Controller(scenario.capability, scenario.costs, scenario.predictor, weight, variant)
+def _controller_tick(scenario: Scenario) -> Callable[..., tuple]:
+    controller = Controller(
+        scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
+    )
     state = SystemState(scenario.initial_behavior)
 
     def tick(t, env, mode):
@@ -178,8 +190,9 @@ def _controller_tick(scenario: Scenario, variant: FitVariant, weight: float) -> 
     return tick
 
 
-def _sensor_tick(scenario: Scenario, variant: FitVariant) -> Callable[..., tuple]:
+def _sensor_tick(scenario: Scenario) -> Callable[..., tuple]:
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
+    variant = scenario.variant
     cum = 0.0
 
     def tick(t, env, mode):

@@ -28,6 +28,10 @@ def test_class_ranks():
     assert class_rank(b("soc")) == 5
     assert class_rank(b("pro^2")) == 4  # rank depends only on the class
     assert sorted(class_rank(c) for c in BehaviorClass) == [1, 2, 3, 4, 5]
+    # a class is its rank: members order and subtract as integers
+    ran, pur, rea, pro, soc = BehaviorClass
+    assert ran < pur < rea < pro < soc
+    assert BehaviorClass.SOCIAL - BehaviorClass.PURPOSEFUL == 3
 
 
 def test_effective_order():

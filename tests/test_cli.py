@@ -126,6 +126,25 @@ def test_non_finite_scenario_number_is_a_validation_failure(tmp_path, capsys):
     assert "controller.weight" in capsys.readouterr().err
 
 
+def test_negative_cost_weight_is_a_validation_failure(capsys):
+    canary = Path(__file__).resolve().parents[1] / "scenarios" / "canary.scenario"
+    assert main(["run", "--scenario", str(canary), "--cost-weight=-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "controller.weight" in captured.err
+
+
+def test_cost_overflow_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "overflow.scenario"
+    path.write_text(TURBULENT + "costs.figure = 1e308\ncosts.switch = 1e308\n")
+    out, trace = tmp_path / "out.csv", tmp_path / "used.trace"
+    assert main(["run", "--scenario", str(path), "--out", str(out), "--emit-trace", str(trace)]) == 1
+    assert main(["sweep", "--scenario", str(path), "--seeds", "1..3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "costs" in captured.err
+    assert not out.exists() and not trace.exists()
+
+
 def test_sweep_needs_turbulence(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text("universe: 1\n0 3 pur{1}\n")

@@ -80,6 +80,26 @@ class TestStaticRun:
             run_scenario(scenario)
 
 
+class TestCostOverflow:
+    def test_static_cost_overflow_is_a_scenario_error(self):
+        scenario = parse_scenario(
+            "universe = 1,2\nturbulence.seed = 1\nturbulence.horizon = 10\n"
+            "system.behavior = pur{1,2}\ncosts.figure = 1e308\n"
+        )
+        with pytest.raises(ScenarioError, match="costs"):
+            run_scenario(scenario)
+
+    def test_sensor_costs_summing_past_the_float_range(self):
+        text = (
+            "universe = 1\nturbulence.seed = 3\nturbulence.figure_flip = 0\n"
+            "turbulence.mean_segment_len = 1\nturbulence.horizon = {}\n"
+            "system.behavior = pur{{}}\nsensors.a = {{1}} 1e308\ncritical = {{1}}\n"
+        )
+        assert run_scenario(parse_scenario(text.format(1))).summary.total_cost == 1e308
+        with pytest.raises(ScenarioError, match="costs"):
+            run_scenario(parse_scenario(text.format(2)))
+
+
 class TestControllerRun:
     def test_oracle_with_full_capability_is_perfect(self):
         scenario = fig2_scenario()
