@@ -10,7 +10,8 @@ Textual grammar, used by config files and the CLI::
     pur{speed,luminosity}              class with named figures
     pro^2                              class with an arity
 
-Whitespace inside braces is ignored; unknown class tokens are errors.
+A figure is a token of ``[A-Za-z0-9_.-]+``. Whitespace around figures is
+ignored; blank items (``pur{1,}``) and unknown class tokens are errors.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "format_behavior",
     "godel_number",
     "parse_behavior",
+    "parse_figures",
     "precedes",
 ]
 
@@ -187,17 +189,23 @@ def parse_behavior(text: str) -> Behavior:
             raise BehaviorSyntaxError(f"bad arity in {text!r}")
         return Behavior(klass, arity=int(digits))
     if rest.startswith("{") and rest.endswith("}"):
-        inner = rest[1:-1].strip()
-        if not inner:
-            return Behavior(klass, figures=frozenset())
-        figures = []
-        for raw in inner.split(","):
-            fig = raw.strip()
-            if not _FIGURE_RE.match(fig):
-                raise BehaviorSyntaxError(f"bad figure token {raw.strip()!r} in {text!r}")
-            figures.append(fig)
-        return Behavior(klass, figures=frozenset(figures))
+        return Behavior(klass, figures=parse_figures(rest))
     raise BehaviorSyntaxError(f"malformed behavior term {text!r}")
+
+
+def parse_figures(text: str) -> frozenset[str]:
+    """Parse a figure set such as ``1,4`` or ``{1,4}``: braces are optional,
+    and an empty string or ``{}`` is the empty set."""
+    inner = text.strip()
+    if inner.startswith("{") and inner.endswith("}"):
+        inner = inner[1:-1].strip()
+    if not inner:
+        return frozenset()
+    figures = [raw.strip() for raw in inner.split(",")]
+    for fig in figures:
+        if not _FIGURE_RE.match(fig):
+            raise BehaviorSyntaxError(f"bad figure token {fig!r} in {text.strip()!r}")
+    return frozenset(figures)
 
 
 def format_behavior(b: Behavior) -> str:

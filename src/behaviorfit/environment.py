@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .behavior import Behavior, BehaviorClass, format_behavior, parse_behavior
+from .behavior import Behavior, BehaviorClass, format_behavior, parse_behavior, parse_figures
 
 __all__ = [
     "EnvironmentTrace",
@@ -154,9 +154,6 @@ class TurbulenceSpec:
         if self.horizon < self.mean_segment_len:
             raise ValueError("horizon must be at least mean_segment_len")
 
-    def with_seed(self, seed: int) -> "TurbulenceSpec":
-        return replace(self, seed=seed)
-
 
 def _geometric(rng: SplitMix64, mean: int) -> int:
     if mean <= 1:
@@ -199,29 +196,28 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
 
 
 def parse_trace(text: str) -> EnvironmentTrace:
-    """Parse the line-oriented trace format (see module docstring)."""
+    """Parse the line-oriented trace format (see module docstring); an
+    error in a line names that line."""
     universe: frozenset[str] | None = None
     segments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("universe:"):
-            if universe is not None:
-                raise ValueError(f"line {lineno}: duplicate universe header")
-            tokens = [tok.strip() for tok in line[len("universe:"):].split(",")]
-            universe = frozenset(tok for tok in tokens if tok)
-            continue
-        if universe is None:
-            raise ValueError(f"line {lineno}: universe header must come first")
-        fields = line.split(None, 2)
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'start duration behavior', got {raw!r}")
         try:
-            start, duration = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: start and duration must be integers") from None
-        segments.append(Segment(start, duration, parse_behavior(fields[2])))
+            if line.startswith("universe:"):
+                if universe is not None:
+                    raise ValueError("duplicate universe header")
+                universe = parse_figures(line.removeprefix("universe:"))
+            elif universe is None:
+                raise ValueError("universe header must come first")
+            else:
+                fields = line.split(None, 2)
+                if len(fields) != 3:
+                    raise ValueError(f"expected 'start duration behavior', got {raw!r}")
+                segments.append(Segment(int(fields[0]), int(fields[1]), parse_behavior(fields[2])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if universe is None:
         raise ValueError("trace text has no universe header")
     return EnvironmentTrace(tuple(segments), universe)

@@ -30,10 +30,10 @@ not both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .behavior import _TOKEN_CLASS, Behavior, BehaviorClass, BehaviorSyntaxError, parse_behavior
+from .behavior import _FIGURE_RE, _TOKEN_CLASS, Behavior, BehaviorClass, parse_behavior, parse_figures
 from .controller import Capability, CostModel, Oracle, Persistence, Predictor, WindowMajority
 from .cybernetic import CyberneticClass, parse_class
 from .environment import EnvironmentTrace, TurbulenceSpec, parse_trace
@@ -77,12 +77,11 @@ def finite_number(value: str) -> float:
     return number
 
 
-def _figure_list(value: str) -> frozenset[str]:
-    inner = value.strip()
-    if inner.startswith("{") and inner.endswith("}"):
-        inner = inner[1:-1]
-    tokens = [tok.strip() for tok in inner.split(",")]
-    return frozenset(tok for tok in tokens if tok)
+def _id(value: str) -> str:
+    """A sensor or peer id, which follows the figure token rule."""
+    if not _FIGURE_RE.match(value):
+        raise ValueError(f"bad id {value!r}")
+    return value
 
 
 def _parse_predictor(value: str) -> Predictor:
@@ -99,6 +98,13 @@ def _parse_predictor(value: str) -> Predictor:
 
 
 _COST_KEYS = {"figure": "figure_cost", "borrow": "borrow_cost", "class": "class_cost", "switch": "switch_cost"}
+_TURBULENCE_KEYS = {
+    "turbulence.seed": int,
+    "turbulence.class_walk": finite_number,
+    "turbulence.figure_flip": finite_number,
+    "turbulence.mean_segment_len": int,
+    "turbulence.horizon": int,
+}
 
 
 def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario") -> Scenario:
@@ -115,26 +121,25 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (lineno, value)
 
-    turbulence_keys: dict[str, tuple[int, str]] = {}
-    costs_kwargs: dict[str, float] = {}
+    turbulence: dict[str, float | int] = {}
+    turbulence_line = 0
     peers: dict[str, frozenset[str]] = {}
-    sensors: list[SensorNode] = []
     capability_figures: frozenset[str] | None = None
     max_class = BehaviorClass.SOCIAL
     scenario = Scenario(name=name, universe=frozenset())
-    have_capability_keys = False
 
     for key, (lineno, value) in entries.items():
         try:
             if key == "name":
                 scenario.name = value
             elif key == "universe":
-                scenario.universe = _figure_list(value)
+                scenario.universe = parse_figures(value)
             elif key == "trace.file":
                 path = Path(base_dir) / value
                 scenario.trace = parse_trace(path.read_text())
-            elif key.startswith("turbulence."):
-                turbulence_keys[key.removeprefix("turbulence.")] = (lineno, value)
+            elif key in _TURBULENCE_KEYS:
+                turbulence[key.removeprefix("turbulence.")] = _TURBULENCE_KEYS[key](value)
+                turbulence_line = lineno
             elif key == "system.behavior":
                 scenario.initial_behavior = parse_behavior(value)
             elif key == "system.class":
@@ -147,61 +152,40 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
                 cost = _COST_KEYS.get(key.removeprefix("costs."))
                 if cost is None:
                     raise ValueError(f"unknown cost {key!r}")
-                costs_kwargs[cost] = finite_number(value)
-                if costs_kwargs[cost] < 0:
-                    raise ValueError("costs must be non-negative")
+                scenario.costs = replace(scenario.costs, **{cost: finite_number(value)})
             elif key == "capability.figures":
-                capability_figures = _figure_list(value)
-                have_capability_keys = True
+                capability_figures = parse_figures(value)
             elif key == "capability.max_class":
                 if value not in _TOKEN_CLASS:
                     raise ValueError(f"unknown behavior class {value!r}")
                 max_class = _TOKEN_CLASS[value]
-                have_capability_keys = True
             elif key.startswith("peers.") and key.endswith(".figures"):
-                peer = key[len("peers."):-len(".figures")]
-                if not peer:
-                    raise ValueError("empty peer id")
-                peers[peer] = _figure_list(value)
-                have_capability_keys = True
+                peers[_id(key[len("peers."):-len(".figures")])] = parse_figures(value)
             elif key.startswith("sensors."):
-                sensor_id = key.removeprefix("sensors.")
                 parts = value.rsplit(None, 1)
                 if len(parts) != 2:
                     raise ValueError("expected '{figures} cost'")
-                sensors.append(SensorNode(sensor_id, _figure_list(parts[0]), finite_number(parts[1])))
+                sensor_id = _id(key.removeprefix("sensors."))
+                sensor = SensorNode(sensor_id, parse_figures(parts[0]), finite_number(parts[1]))
+                scenario.sensors += (sensor,)
             elif key == "critical":
-                scenario.critical = _figure_list(value)
+                scenario.critical = parse_figures(value)
             elif key == "fit.variant":
                 scenario.variant = FitVariant(value)
             else:
                 raise ValueError(f"unknown key {key!r}")
-        except ScenarioError:
-            raise
-        except (ValueError, OSError, BehaviorSyntaxError) as exc:
+        except (ValueError, OSError) as exc:
             raise ScenarioError(f"line {lineno}: {key}: {exc}") from None
 
-    if turbulence_keys:
-        lineno = min(ln for ln, _ in turbulence_keys.values())
-        kwargs: dict[str, float | int] = {}
+    if turbulence:
         try:
-            for name_, (ln, value) in turbulence_keys.items():
-                lineno = ln
-                if name_ in ("seed", "mean_segment_len", "horizon"):
-                    kwargs[name_] = int(value)
-                elif name_ in ("class_walk", "figure_flip"):
-                    kwargs[name_] = finite_number(value)
-                else:
-                    raise ValueError(f"unknown key 'turbulence.{name_}'")
-            if "seed" not in kwargs:
+            if "seed" not in turbulence:
                 raise ValueError("turbulence needs a seed")
-            scenario.turbulence = TurbulenceSpec(**kwargs)  # type: ignore[arg-type]
+            scenario.turbulence = TurbulenceSpec(**turbulence)  # type: ignore[arg-type]
         except ValueError as exc:
-            raise ScenarioError(f"line {lineno}: turbulence: {exc}") from None
+            raise ScenarioError(f"line {turbulence_line}: turbulence: {exc}") from None
 
-    scenario.costs = CostModel(**costs_kwargs)
-    scenario.sensors = tuple(sensors)
-    if scenario.predictor is not None or have_capability_keys:
+    if scenario.predictor is not None or any(key.startswith(("capability.", "peers.")) for key in entries):
         figures = capability_figures if capability_figures is not None else scenario.universe
         scenario.capability = Capability(figures, max_class, peers)
     return scenario

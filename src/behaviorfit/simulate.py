@@ -113,7 +113,7 @@ def scenario_trace(scenario: Scenario, seed: int | None = None) -> EnvironmentTr
     if spec is None:
         raise ScenarioError("scenario has neither a trace nor a turbulence spec")
     if seed is not None:
-        spec = spec.with_seed(seed)
+        spec = replace(spec, seed=seed)
     return generate_trace(spec, scenario.universe)
 
 

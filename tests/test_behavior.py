@@ -12,6 +12,7 @@ from behaviorfit import (
     format_behavior,
     godel_number,
     parse_behavior,
+    parse_figures,
     precedes,
 )
 
@@ -128,10 +129,33 @@ class TestGrammar:
     def test_parse(self, text, expected):
         assert parse_behavior(text) == expected
 
-    @pytest.mark.parametrize("text", ["xyz", "pur{1", "pro^0", "pro^-1", "pur{a b}", "random", "pur 4", ""])
+    @pytest.mark.parametrize(
+        "text", ["xyz", "pur{1", "pro^0", "pro^-1", "pur{a b}", "pur{1,}", "pur{,1}", "random", "pur 4", ""]
+    )
     def test_parse_errors(self, text):
         with pytest.raises(BehaviorSyntaxError):
             parse_behavior(text)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1,4", {"1", "4"}),
+            ("{ 1 , 4 }", {"1", "4"}),
+            ("", set()),
+            ("{}", set()),
+            (" { } ", set()),
+            ("a.b_c-1", {"a.b_c-1"}),
+        ],
+    )
+    def test_parse_figures(self, text, expected):
+        assert parse_figures(text) == frozenset(expected)
+
+    @pytest.mark.parametrize(
+        "text", ["1,,2", "1,2,", ",", "{1,}", "a b", "x;y", "p:q", "z}", "{1", "1}", "{{1}}"]
+    )
+    def test_parse_figures_rejects_bad_and_blank_items(self, text):
+        with pytest.raises(BehaviorSyntaxError, match="bad figure token"):
+            parse_figures(text)
 
     @pytest.mark.parametrize("text", ["ran", "pur{1,2,3,4}", "pro^2", "soc{}", "rea{x,y}"])
     def test_round_trip(self, text):

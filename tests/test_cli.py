@@ -89,6 +89,31 @@ def test_parse_error_is_validation_failure(tmp_path, capsys):
     assert main(["run", "--scenario", str(path)]) == 1
 
 
+GOOD_TRACE = "universe: 1,2\n0 5 pur{1}\n"
+
+
+@pytest.mark.parametrize(
+    "scenario,trace,named",
+    [
+        ("universe = a b,c\n", GOOD_TRACE, "line 1: universe: bad figure token 'a b'"),
+        ("universe = 1,2,\n", GOOD_TRACE, "line 1: universe: bad figure token ''"),
+        ("universe = 1,2\ncritical = {x;y}\n", GOOD_TRACE, "line 2: critical: bad figure token 'x;y'"),
+        ("universe = 1,2\nsensors.a;b = {1} 1\n", GOOD_TRACE, "line 2: sensors.a;b: bad id 'a;b'"),
+        ("universe = 1,2\npeers.p:q.figures = 5\n", GOOD_TRACE, "line 2: peers.p:q.figures: bad id 'p:q'"),
+        ("universe = 1,2\n", "universe: 1,2 3\n0 5 pur{1}\n", "trace.file: line 1: bad figure token '2 3'"),
+        ("universe = 1,2\n", "universe: 1,2\n0 5 pur{a b}\n", "trace.file: line 2: bad figure token 'a b'"),
+    ],
+)
+def test_bad_names_fail_naming_the_line_and_key(tmp_path, capsys, scenario, trace, named):
+    (tmp_path / "t.trace").write_text(trace)
+    path = tmp_path / "bad.scenario"
+    path.write_text(scenario + "system.behavior = pur{}\ntrace.file = t.trace\n")
+    assert main(["run", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
 def test_sweep(scenario_file, capsys):
     assert main(["sweep", "--scenario", str(scenario_file), "--seeds", "3..6"]) == 0
     lines = capsys.readouterr().out.splitlines()

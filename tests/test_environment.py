@@ -135,3 +135,22 @@ class TestTraceText:
     def test_bad_segment_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_trace("universe: 1\n0 pur{1}\n")
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("universe: 1,2 3\n0 5 pur{1}\n", "line 1: bad figure token '2 3'"),
+            ("universe: 1,,2\n0 5 pur{1}\n", "line 1: bad figure token ''"),
+            ("universe: 1\n\n# c\n0 5 pur{a b}\n", "line 4: bad figure token 'a b'"),
+            ("universe: 1\n0 0 pur{1}\n", "line 2: segment duration"),
+            ("universe: 1\n0 x pur{1}\n", "line 2: invalid literal for int"),
+            ("universe: 1\n0 5 pur^2\n", "line 2: environment behaviors must name"),
+            ("universe: 1\nuniverse: 1\n", "line 2: duplicate universe header"),
+        ],
+    )
+    def test_errors_name_the_trace_line(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_trace(text)
+
+    def test_universe_header_takes_braces(self):
+        assert parse_trace("universe: {1,2}\n0 1 pur{}\n").universe == frozenset("12")

@@ -3,7 +3,8 @@
 The fuzz test perturbs valid scenarios with junk values and extreme lines:
 every input must either fail as a ScenarioError or run to strictly valid
 JSON and to CSV with the fixed columns. The metamorphic test re-drives a
-run from the trace it emitted and expects the same bytes.
+run from the trace it emitted and expects the same bytes; a scenario whose
+figure, sensor or peer ids break the token rule must fail to parse instead.
 """
 
 import csv
@@ -20,6 +21,8 @@ from behaviorfit import CSV_COLUMNS, ScenarioError, parse_scenario, render_csv, 
 from behaviorfit.cli import main
 
 FIGURES = ("1", "2", "3", "4")
+# Ids outside the token rule [A-Za-z0-9_.-]+; none is a substring of a valid scenario.
+ODD_NAMES = ("a b", "x;y", "p:q", "z}")
 CLASS_TOKENS = ("ran", "pur", "rea", "pro", "soc")
 MAX_HORIZON = 50
 
@@ -52,10 +55,19 @@ def _figures(figs) -> str:
 
 
 @st.composite
-def scenario_entries(draw) -> dict[str, str]:
+def scenario_entries(draw, odd_names: bool = False) -> dict[str, str]:
     """Keys and values of a valid generated-trace scenario: static, with a
-    controller, or with sensors."""
+    controller, or with sensors. With ``odd_names``, about half the
+    scenarios give one figure, sensor or peer an id from ``ODD_NAMES``."""
+    odd = draw(st.sampled_from((None,) * len(ODD_NAMES) + ODD_NAMES)) if odd_names else None
+    odd_place = draw(st.sampled_from(["figure", "sensor", "peer"])) if odd else None
+
+    def name(place: str, usual: str) -> str:
+        return odd if odd_place == place else usual
+
     universe = draw(st.lists(st.sampled_from(FIGURES), min_size=1, unique=True))
+    if odd_place == "figure":
+        universe.append(odd)
     subsets = st.frozensets(st.sampled_from(universe))
     horizon = draw(st.integers(1, MAX_HORIZON))
     entries = {
@@ -78,11 +90,12 @@ def scenario_entries(draw) -> dict[str, str]:
             entries[f"costs.{cost}"] = draw(rates)
         entries["capability.figures"] = _figures(draw(subsets))
         entries["capability.max_class"] = draw(st.sampled_from(CLASS_TOKENS))
-        entries["peers.p.figures"] = _figures(draw(subsets))
+        entries[f"peers.{name('peer', 'p')}.figures"] = _figures(draw(subsets))
     elif kind == "sensors":
         for sensor in range(draw(st.integers(1, 3))):
             coverage = draw(st.frozensets(st.sampled_from(universe), min_size=1))
-            entries[f"sensors.s{sensor}"] = "{" + _figures(coverage) + "} " + draw(st.floats(0.1, 5.0).map(repr))
+            sensor_id = f"s{sensor}" if sensor else name("sensor", "s0")
+            entries[f"sensors.{sensor_id}"] = "{" + _figures(coverage) + "} " + draw(st.floats(0.1, 5.0).map(repr))
     else:
         entries["costs.figure"] = draw(rates)
     if draw(st.booleans()):
@@ -125,12 +138,20 @@ def test_scenario_text_fails_cleanly_or_renders_strict_output(text):
         assert cells["fit"] == "-inf" or math.isfinite(float(cells["fit"]))
 
 
-@settings(max_examples=50, deadline=None)
-@given(scenario_entries(), st.sampled_from(["csv", "json"]), st.none() | st.integers(0, 1000))
+@settings(max_examples=100, deadline=None)
+@given(scenario_entries(odd_names=True), st.sampled_from(["csv", "json"]), st.none() | st.integers(0, 1000))
 def test_run_replayed_from_its_emitted_trace_is_identical(entries, fmt, seed):
+    text = _text(entries)
+    uses_odd_name = any(name in text for name in ODD_NAMES)
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        assert uses_odd_name
+        return
+    assert not uses_odd_name
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        (work / "gen.scenario").write_text(_text(entries))
+        (work / "gen.scenario").write_text(text)
         args = ["run", "--scenario", str(work / "gen.scenario"), "--format", fmt]
         if seed is not None:
             args += ["--seed", str(seed)]

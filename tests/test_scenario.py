@@ -109,6 +109,14 @@ class TestParse:
             ("controller.weight = nan\n", "controller.weight: expected a finite number"),
             ("sensors.x = {a} nan\n", "sensors.x: expected a finite number"),
             ("sensors.x = {a} -inf\n", "sensors.x: expected a finite number"),
+            ("universe = 1 2\n", "universe: bad figure token '1 2'"),
+            ("capability.figures = 1,,2\n", "capability.figures: bad figure token ''"),
+            ("peers.p.figures = {1;2}\n", r"peers\.p\.figures: bad figure token '1;2'"),
+            ("peers..figures = 5\n", r"peers\.\.figures: bad id ''"),
+            ("sensors.m 1 = {1} 1\n", r"sensors\.m 1: bad id 'm 1'"),
+            ("sensors.m1 = {1,} 1\n", r"sensors\.m1: bad figure token ''"),
+            ("turbulence.wind = 1\n", "unknown key 'turbulence.wind'"),
+            ("turbulence.seed = 1\nname = x\nturbulence.horizon = 5\n", "line 3: turbulence: horizon must be"),
         ],
     )
     def test_parse_errors_name_the_line(self, text, match):

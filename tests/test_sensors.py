@@ -1,8 +1,11 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from behaviorfit import (
     OperativeMode,
@@ -114,6 +117,37 @@ class TestSelectSensors:
             greedy_energy = sum(by_id[i].energy_cost for i in chosen)
             d = max(len(s.coverage) for s in sensors)
             assert greedy_energy <= (1 + math.log(d)) * opt + 1e-9
+
+
+FIGURES = "abcdef"
+figure_sets = st.frozensets(st.sampled_from(FIGURES))
+
+
+@st.composite
+def inventories(draw) -> list[SensorNode]:
+    # few distinct costs, so equal gain/cost ratios and the id tie-break occur
+    coverages = st.frozensets(st.sampled_from(FIGURES), min_size=1)
+    costs = st.sampled_from((0.5, 1.0, 1.5, 3.0))
+    return [SensorNode(f"s{i}", draw(coverages), draw(costs)) for i in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(figure_sets, figure_sets, st.floats(0.0, 1.0), inventories(), st.data())
+def test_widening_a_sensor_never_leaves_more_figures_uncovered(active, critical, level, sensors, data):
+    mode = OperativeMode(level)
+    required = required_coverage(active, critical, mode)
+
+    def uncovered(nodes: list[SensorNode]) -> frozenset[str]:
+        chosen = select_sensors(active, nodes, mode, critical)
+        covered = frozenset().union(*(s.coverage for s in nodes if s.id in chosen))
+        # greedy leaves uncovered only what no sensor covers
+        assert required - covered == required - frozenset().union(*(s.coverage for s in nodes))
+        return required - covered
+
+    i = data.draw(st.integers(0, len(sensors) - 1))
+    wider = replace(sensors[i], coverage=sensors[i].coverage | data.draw(figure_sets))
+    widened = [*sensors[:i], wider, *sensors[i + 1:]]
+    assert uncovered(widened) <= uncovered(sensors)
 
 
 class TestSensorNode:
