@@ -51,6 +51,16 @@ class Segment:
         return self.start + self.duration
 
 
+def _check_next_segment(seg: Segment, expected: int, universe: frozenset[str]) -> None:
+    """Raise ValueError unless ``seg`` starts at ``expected`` and names only
+    figures of ``universe``."""
+    if seg.start != expected:
+        raise ValueError(f"segments must be contiguous from 0; expected start {expected}, got {seg.start}")
+    if not seg.behavior.figures <= universe:
+        extra = sorted(seg.behavior.figures - universe)
+        raise ValueError(f"segment at {seg.start} references figures outside universe: {extra}")
+
+
 @dataclass(frozen=True)
 class EnvironmentTrace:
     """Contiguous, non-overlapping segments from tick 0, over a figure universe."""
@@ -67,13 +77,7 @@ class EnvironmentTrace:
             raise ValueError("trace needs at least one segment")
         expected = 0
         for seg in self.segments:
-            if seg.start != expected:
-                raise ValueError(
-                    f"segments must be contiguous from 0; expected start {expected}, got {seg.start}"
-                )
-            if not seg.behavior.figures <= self.universe:
-                extra = sorted(seg.behavior.figures - self.universe)
-                raise ValueError(f"segment at {seg.start} references figures outside universe: {extra}")
+            _check_next_segment(seg, expected, self.universe)
             expected = seg.end
 
     @property
@@ -197,7 +201,8 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
 
 def parse_trace(text: str) -> EnvironmentTrace:
     """Parse the line-oriented trace format (see module docstring); an
-    error in a line names that line."""
+    error in a line, a gap or a figure outside the header included, names
+    that line."""
     universe: frozenset[str] | None = None
     segments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -215,7 +220,9 @@ def parse_trace(text: str) -> EnvironmentTrace:
                 fields = line.split(None, 2)
                 if len(fields) != 3:
                     raise ValueError(f"expected 'start duration behavior', got {raw!r}")
-                segments.append(Segment(int(fields[0]), int(fields[1]), parse_behavior(fields[2])))
+                segment = Segment(int(fields[0]), int(fields[1]), parse_behavior(fields[2]))
+                _check_next_segment(segment, segments[-1].end if segments else 0, universe)
+                segments.append(segment)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if universe is None:

@@ -1,10 +1,13 @@
 """Scenario simulation loop and CSV/JSON reporting.
 
 ``run_scenario`` walks the trace's segments, works out the awareness mode
-once per segment, and calls ``tick(t, env, mode)`` for each tick's
-``(sys_behavior, supply, fit, actions, cost, cum_cost)``. There is one tick
-function per kind of run, a closure built once per run: a static system,
-the MAPE-K controller, or greedy sensor selection.
+once per segment, and calls ``run_segment(segment, mode)`` once per
+segment for each of its ticks' ``(sys_behavior, supply, fit, actions,
+cost, cum_cost)``. There is one segment function per kind of run, a
+closure built once per run. A static system and greedy sensor selection
+face one environment behavior for a whole segment, so they score, select
+and price it once and repeat the same objects on every tick; the MAPE-K
+controller still steps once per tick.
 
 CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.
@@ -20,7 +23,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .behavior import Behavior, BehaviorClass, format_behavior
 from .controller import Controller, SystemState, format_action, tick_cost
@@ -124,7 +127,7 @@ def run_scenario(
     variant: FitVariant | None = None,
     weight: float | None = None,
 ) -> RunReport:
-    """Simulate one scenario tick by tick; deterministic for a fixed seed.
+    """Simulate one scenario, one row per tick; deterministic for a fixed seed.
 
     ``seed``, ``variant`` and ``weight`` override the scenario's values
     (the seed only applies to generated traces) and are validated with
@@ -141,19 +144,19 @@ def run_scenario(
         raise ScenarioError("scenario is invalid:\n" + "\n".join(violations))
     trace = scenario_trace(scenario, seed)
     if scenario.sensors:
-        tick = _sensor_tick(scenario)
+        run_segment = _sensor_segment(scenario)
     elif scenario.predictor is not None:
-        tick = _controller_tick(scenario)
+        run_segment = _controller_segment(scenario)
     else:
-        tick = _static_tick(scenario)
+        run_segment = _static_segment(scenario)
     with_mode = bool(scenario.sensors or scenario.critical)
     rows = []
     for segment in trace.segments:
         env = segment.behavior
         mode = awareness_mode(env.figures, scenario.critical) if with_mode else None
         level = mode.level if mode is not None else None
-        for t in range(segment.start, segment.end):
-            rows.append(TickRow(t, env, *tick(t, env, mode), level))
+        for t, values in enumerate(run_segment(segment, mode), segment.start):
+            rows.append(TickRow(t, env, *values, level))
     summary = _summarize(rows)
     # costs are non-negative and cum_cost never falls, so a finite total
     # means every row's cost and cum_cost is finite too
@@ -162,51 +165,59 @@ def run_scenario(
     return RunReport(scenario.name, tuple(rows), summary)
 
 
-def _static_tick(scenario: Scenario) -> Callable[..., tuple]:
+def _static_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
     behavior, variant = scenario.initial_behavior, scenario.variant
     cost = tick_cost(SystemState(behavior), scenario.costs)
 
-    def tick(t, env, mode):
-        report = supply(behavior, env)
-        return behavior, report, fit(report, variant), (), cost, cost * (t + 1)
+    def run_segment(segment, mode):
+        report = supply(behavior, segment.behavior)
+        value = fit(report, variant)
+        for t in range(segment.start, segment.end):
+            yield behavior, report, value, (), cost, cost * (t + 1)
 
-    return tick
+    return run_segment
 
 
-def _controller_tick(scenario: Scenario) -> Callable[..., tuple]:
+def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
     controller = Controller(
         scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
     )
     state = SystemState(scenario.initial_behavior)
 
-    def tick(t, env, mode):
+    def run_segment(segment, mode):
         nonlocal state
-        before = state.cum_cost
-        result = controller.step(state, env, oracle_next=env)
-        state = result.state
-        actions = tuple(format_action(a) for a in result.actions)
-        return state.behavior, result.supply, result.fit, actions, state.cum_cost - before, state.cum_cost
+        env = segment.behavior
+        for _ in range(segment.duration):
+            before = state.cum_cost
+            result = controller.step(state, env, oracle_next=env)
+            state = result.state
+            actions = tuple(format_action(a) for a in result.actions)
+            yield state.behavior, result.supply, result.fit, actions, state.cum_cost - before, state.cum_cost
 
-    return tick
+    return run_segment
 
 
-def _sensor_tick(scenario: Scenario) -> Callable[..., tuple]:
+def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
     variant = scenario.variant
     cum = 0.0
 
-    def tick(t, env, mode):
+    def run_segment(segment, mode):
         nonlocal cum
+        env = segment.behavior
         chosen = sorted(select_sensors(env.figures, scenario.sensors, mode, scenario.critical))
         # The sensed behavior mirrors the environment's class: the network
         # tracks the situation, its scope is whatever the sensors cover.
         system = Behavior(env.klass, figures=frozenset().union(*(by_id[i].coverage for i in chosen)))
         cost = sum(by_id[i].energy_cost for i in chosen)
-        cum += cost
         report = supply(system, env)
-        return system, report, fit(report, variant), tuple(f"activate:{i}" for i in chosen), cost, cum
+        value = fit(report, variant)
+        actions = tuple(f"activate:{i}" for i in chosen)
+        for _ in range(segment.duration):
+            cum += cost
+            yield system, report, value, actions, cost, cum
 
-    return tick
+    return run_segment
 
 
 def _row_fields(row: TickRow, fit_value: float | str, actions: str | list[str]) -> tuple:

@@ -146,6 +146,10 @@ class TestTraceText:
             ("universe: 1\n0 x pur{1}\n", "line 2: invalid literal for int"),
             ("universe: 1\n0 5 pur^2\n", "line 2: environment behaviors must name"),
             ("universe: 1\nuniverse: 1\n", "line 2: duplicate universe header"),
+            # checks over the whole trace name the segment's line too
+            ("universe: 1\n0 5 pur{1}\n6 5 pur{1}\n", "line 3: segments must be contiguous from 0; expected start 5"),
+            ("universe: 1\n# c\n1 5 pur{1}\n", "line 3: segments must be contiguous from 0; expected start 0"),
+            ("universe: 1\n0 5 pur{1,2}\n", r"line 2: segment at 0 references figures outside universe: \['2'\]"),
         ],
     )
     def test_errors_name_the_trace_line(self, text, match):

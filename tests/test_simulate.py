@@ -1,8 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
+import behaviorfit.simulate
 from behaviorfit import (
     NEG_INFINITY,
     CSV_COLUMNS,
@@ -17,6 +19,7 @@ from behaviorfit import (
     render_csv,
     render_json,
     run_scenario,
+    scenario_trace,
 )
 
 LN3 = math.log(3)
@@ -164,6 +167,42 @@ class TestSensorRun:
         for row in report.rows:
             if row.env_behavior.figures <= row.sys_behavior.figures:
                 assert row.supply.value >= 0
+
+
+class TestPerSegmentEvaluation:
+    """A static or sensor run faces one environment behavior for a whole
+    segment, so it scores and selects once per segment, not once per tick."""
+
+    TEXT = (
+        "universe = 1,2,3\nturbulence.seed = 7\nturbulence.mean_segment_len = 4\n"
+        "turbulence.horizon = 200\nsystem.behavior = pur{1,2}\n"
+    )
+    SENSORS = "sensors.a = {1,2} 1.0\nsensors.b = {3} 2.0\ncritical = {3}\n"
+
+    @pytest.mark.parametrize("kind", ["static", "sensors"])
+    def test_one_supply_and_selection_call_per_segment(self, monkeypatch, kind):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(behaviorfit.simulate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(behaviorfit.simulate, name, wrapper)
+
+        counting("supply")
+        counting("select_sensors")
+        scenario = parse_scenario(self.TEXT + (self.SENSORS if kind == "sensors" else ""))
+        segments = scenario_trace(scenario).segments
+        report = run_scenario(scenario)
+        assert len(report.rows) == 200 > len(segments) > 1
+        assert calls["supply"] == len(segments)
+        assert calls["select_sensors"] == (len(segments) if kind == "sensors" else 0)
+        # every tick of a segment carries the segment's one report
+        for segment in segments:
+            assert len({id(row.supply) for row in report.rows[segment.start:segment.end]}) == 1
 
 
 class TestRendering:
