@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .environment import format_trace
 from .metrics import FitVariant
-from .scenario import ScenarioError, finite_number, load_scenario, validate_scenario
+from .scenario import Scenario, ScenarioError, finite_number, load_scenario, validate_scenario
 from .simulate import fig2_scenario, render_csv, render_json, run_scenario, scenario_trace
 
 __all__ = ["main"]
@@ -43,8 +43,16 @@ def _render(report, fmt: str) -> str:
     return render_json(report) if fmt == "json" else render_csv(report)
 
 
+def _load(path: str, seeded_by: str | None) -> Scenario:
+    # a fixed trace cannot honour a seed, so naming one is an error
+    scenario = load_scenario(path)
+    if seeded_by and scenario.turbulence is None:
+        raise ScenarioError(f"{seeded_by} needs a scenario with a turbulence spec")
+    return scenario
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args.scenario, "--seed" if args.seed is not None else None)
     report = run_scenario(
         scenario, seed=args.seed, variant=_variant(args), weight=args.cost_weight
     )
@@ -72,9 +80,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.turbulence is None:
-        raise ScenarioError("sweep needs a scenario with a turbulence spec")
+    scenario = _load(args.scenario, "sweep")
     lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost"]
     for seed in args.seeds:
         report = run_scenario(

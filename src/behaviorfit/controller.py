@@ -9,15 +9,12 @@ cost-adjusted fit against the prediction.
 
 from __future__ import annotations
 
-import logging
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import ClassVar, Mapping, Sequence
 
 from .behavior import Behavior, BehaviorClass
 from .metrics import FitVariant, SupplyReport, cost_adjusted_fit, fit, supply
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "AdaptationAction",
@@ -107,6 +104,8 @@ class SystemState:
 class Persistence:
     """Predict that the last observed behavior continues."""
 
+    window: ClassVar[int] = 1
+
 
 @dataclass(frozen=True)
 class WindowMajority:
@@ -125,14 +124,16 @@ class WindowMajority:
 class Oracle:
     """Perfect one-tick lookahead; only available in simulation."""
 
+    window: ClassVar[int] = 0
+
 
 Predictor = Persistence | WindowMajority | Oracle
 
 
 def predict(
-    predictor: Predictor, history: list[Behavior], oracle_next: Behavior | None = None
+    predictor: Predictor, history: Sequence[Behavior], oracle_next: Behavior | None = None
 ) -> Behavior:
-    """Predicted next environment behavior from past observations."""
+    """Predicted next environment behavior from past observations, oldest first."""
     if isinstance(predictor, Oracle):
         if oracle_next is None:
             raise ValueError("oracle predictor needs oracle_next")
@@ -141,7 +142,7 @@ def predict(
         raise ValueError("cannot predict from an empty history")
     if isinstance(predictor, Persistence):
         return history[-1]
-    window = history[-predictor.window:]
+    window = list(history)[-predictor.window:]
     votes: Counter[str] = Counter()
     for obs in window:
         votes.update(obs.figures or ())
@@ -301,11 +302,12 @@ class StepResult:
 class Controller:
     """Drives one system through the adaptation loop, one call per tick.
 
-    The plan for a tick is made from observations up to the previous tick
-    (the oracle predictor instead peeks at the incoming behavior), its
+    The plan for a tick is made from the predictor's ``window`` latest
+    observations, the only ones ``history`` keeps (the oracle predictor,
+    whose window is 0, instead peeks at the incoming behavior), its
     actions apply atomically and are charged to the new state, the state
     is then scored against the just-observed environment, and finally the
-    observation joins the history for the next tick.
+    observation joins the history for the next tick. It logs nothing.
     """
 
     def __init__(
@@ -321,31 +323,21 @@ class Controller:
         self.predictor = predictor if predictor is not None else Persistence()
         self.weight = weight
         self.variant = variant
-        self.history: list[Behavior] = []
+        self.history: deque[Behavior] = deque(maxlen=self.predictor.window)
 
     def step(
         self, state: SystemState, observed_env: Behavior, oracle_next: Behavior | None = None
     ) -> StepResult:
         actions: list[AdaptationAction] = []
-        if self.history or isinstance(self.predictor, Oracle):
-            lookahead = oracle_next if oracle_next is not None else observed_env
-            prediction = predict(self.predictor, self.history, lookahead)
-            if prediction.figures is not None:
-                actions = plan_adaptation(
-                    state, prediction, self.capability, self.costs, self.weight, self.variant
-                )
+        if self.history or not self.predictor.window:
+            prediction = predict(self.predictor, self.history, oracle_next or observed_env)
+            actions = plan_adaptation(
+                state, prediction, self.capability, self.costs, self.weight, self.variant
+            )
         new_state = apply_actions(state, actions, self.capability)
         cost = tick_cost(new_state, self.costs) + self.costs.switch_cost * len(actions)
         new_state = replace(new_state, cum_cost=state.cum_cost + cost)
         report = supply(new_state.behavior, observed_env)
         fit_value = fit(report, self.variant)
         self.history.append(observed_env)
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "tick %d: supply=%.4f fit=%.4f actions=%s",
-                len(self.history) - 1,
-                report.value,
-                fit_value,
-                [format_action(a) for a in actions],
-            )
         return StepResult(new_state, report, fit_value, tuple(actions))

@@ -189,7 +189,7 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
         env = segment.behavior
         for _ in range(segment.duration):
             before = state.cum_cost
-            result = controller.step(state, env, oracle_next=env)
+            result = controller.step(state, env)
             state = result.state
             actions = tuple(format_action(a) for a in result.actions)
             yield state.behavior, result.supply, result.fit, actions, state.cum_cost - before, state.cum_cost

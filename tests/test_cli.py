@@ -170,13 +170,26 @@ def test_cost_overflow_writes_nothing(tmp_path, capsys):
     assert not out.exists() and not trace.exists()
 
 
-def test_sweep_needs_turbulence(tmp_path, capsys):
-    trace = tmp_path / "t.trace"
-    trace.write_text("universe: 1\n0 3 pur{1}\n")
+@pytest.fixture
+def fixed_trace_file(tmp_path):
+    (tmp_path / "t.trace").write_text("universe: 1\n0 3 pur{1}\n")
     path = tmp_path / "fixed.scenario"
     path.write_text("universe = 1\ntrace.file = t.trace\nsystem.behavior = pur{1}\n")
-    assert main(["sweep", "--scenario", str(path), "--seeds", "1..2"]) == 1
+    return path
+
+
+def test_sweep_needs_turbulence(fixed_trace_file, capsys):
+    assert main(["sweep", "--scenario", str(fixed_trace_file), "--seeds", "1..2"]) == 1
     assert "turbulence" in capsys.readouterr().err
+
+
+def test_run_seed_needs_turbulence(fixed_trace_file, capsys):
+    # a fixed trace cannot take a seed, so the override is refused, not ignored
+    assert main(["run", "--scenario", str(fixed_trace_file), "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err and "turbulence" in captured.err
+    assert main(["run", "--scenario", str(fixed_trace_file)]) == 0
 
 
 def test_runtime_error_exit_code(scenario_file, capsys):

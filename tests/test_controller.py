@@ -1,6 +1,12 @@
+from collections import deque
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from behaviorfit import (
+    Behavior,
     BehaviorClass,
     BorrowFigure,
     Capability,
@@ -8,17 +14,21 @@ from behaviorfit import (
     CostModel,
     DisableFigure,
     EnableFigure,
+    FitVariant,
     Oracle,
     Persistence,
     ReturnFigure,
     SetClass,
+    StepResult,
     SystemState,
+    TurbulenceSpec,
     WindowMajority,
     apply_actions,
     cost_adjusted_fit,
     fig2_trace,
     fit,
     format_action,
+    generate_trace,
     plan_adaptation,
     predict,
     supply,
@@ -53,6 +63,11 @@ class TestPredict:
     def test_window_shorter_history(self):
         history = [b("pur{1}")]
         assert predict(WindowMajority(5), history) == b("pur{1}")
+
+    def test_any_sequence_of_observations(self):
+        history = deque([b("rea{1}"), b("pur{1}"), b("pur{2}")])
+        assert predict(WindowMajority(2), history) == b("pur{1,2}")
+        assert predict(Persistence(), history) == b("pur{2}")
 
     def test_oracle_passthrough(self):
         nxt = b("pur{1,2,3,4,5}")
@@ -262,3 +277,74 @@ class TestControllerLoop:
         assert format_action(EnableFigure("3")) == "enable:3"
         assert format_action(BorrowFigure("canary", "5")) == "borrow:canary:5"
         assert format_action(SetClass(BehaviorClass.PROACTIVE)) == "class:proactive"
+
+
+def reference_steps(trace, start, capability, costs, predictor, weight, variant) -> list[StepResult]:
+    """Plain per-tick reference for ``Controller.step``: every observation
+    is kept in a list, the oracle is recognised by its type, and the
+    oracle's lookahead is the incoming behavior."""
+    state, history, results = start, [], []
+    for t in range(trace.horizon):
+        env = trace.behavior_at(t)
+        actions = []
+        if history or isinstance(predictor, Oracle):
+            prediction = predict(predictor, history, env)
+            if prediction.figures is not None:
+                actions = plan_adaptation(state, prediction, capability, costs, weight, variant)
+        post = apply_actions(state, actions, capability)
+        cost = tick_cost(post, costs) + costs.switch_cost * len(actions)
+        state = replace(post, cum_cost=state.cum_cost + cost)
+        report = supply(state.behavior, env)
+        results.append(StepResult(state, report, fit(report, variant), tuple(actions)))
+        history.append(env)
+    return results
+
+
+FIGURES = frozenset("12345")
+figure_sets = st.frozensets(st.sampled_from(sorted(FIGURES)))
+rates = st.floats(0.0, 2.0)
+predictors = st.sampled_from([Persistence(), Oracle()]) | st.integers(1, 6).map(WindowMajority)
+
+
+@st.composite
+def controller_runs(draw):
+    mean_segment_len = draw(st.integers(1, 4))
+    spec = TurbulenceSpec(
+        seed=draw(st.integers(0, 2**32)),
+        class_walk=draw(st.floats(0.0, 1.0)),
+        figure_flip=draw(st.floats(0.1, 0.9)),
+        mean_segment_len=mean_segment_len,
+        horizon=draw(st.integers(mean_segment_len, 60)),
+    )
+    peers = draw(st.dictionaries(st.sampled_from(["a", "b", "c"]), figure_sets, max_size=3))
+    capability = Capability(draw(figure_sets), draw(st.sampled_from(list(BehaviorClass))), peers)
+    costs = CostModel(draw(rates), draw(rates), draw(rates), draw(rates))
+    start = SystemState(Behavior(draw(st.sampled_from(list(BehaviorClass))), figures=draw(figure_sets)))
+    return (
+        generate_trace(spec, FIGURES), start, capability, costs, draw(predictors),
+        draw(st.floats(0.0, 1.0)), draw(st.sampled_from(list(FitVariant))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(controller_runs(), st.booleans())
+def test_steps_match_the_full_history_reference(run, pass_lookahead):
+    trace, start, capability, costs, predictor, weight, variant = run
+    controller = Controller(capability, costs, predictor, weight, variant)
+    state = start
+    for t, expected in enumerate(reference_steps(*run)):
+        env = trace.behavior_at(t)
+        result = controller.step(state, env, oracle_next=env) if pass_lookahead else controller.step(state, env)
+        assert result == expected
+        assert len(controller.history) == min(t + 1, predictor.window)
+        state = result.state
+
+
+@pytest.mark.parametrize("predictor, window", [(Persistence(), 1), (Oracle(), 0), (WindowMajority(3), 3)])
+def test_history_holds_only_the_predictor_window(predictor, window):
+    controller = Controller(FULL_CAP, predictor=predictor)
+    state = SystemState(b("pur{1}"))
+    trace = fig2_trace()
+    for t in range(trace.horizon):
+        state = controller.step(state, trace.behavior_at(t)).state
+    assert list(controller.history) == [trace.behavior_at(t) for t in range(trace.horizon - window, trace.horizon)]
