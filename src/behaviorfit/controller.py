@@ -308,6 +308,11 @@ class Controller:
     actions apply atomically and are charged to the new state, the state
     is then scored against the just-observed environment, and finally the
     observation joins the history for the next tick. It logs nothing.
+
+    A plan depends only on the state's behavior and borrowings, the
+    prediction and the controller's settings, so the controller remembers
+    the last such inputs whose plan was empty and does not plan again
+    while they repeat.
     """
 
     def __init__(
@@ -324,6 +329,7 @@ class Controller:
         self.weight = weight
         self.variant = variant
         self.history: deque[Behavior] = deque(maxlen=self.predictor.window)
+        self._idle_inputs: tuple | None = None
 
     def step(
         self, state: SystemState, observed_env: Behavior, oracle_next: Behavior | None = None
@@ -331,10 +337,17 @@ class Controller:
         actions: list[AdaptationAction] = []
         if self.history or not self.predictor.window:
             prediction = predict(self.predictor, self.history, oracle_next or observed_env)
-            actions = plan_adaptation(
-                state, prediction, self.capability, self.costs, self.weight, self.variant
+            inputs = (
+                state.behavior, state.borrowed, prediction,
+                self.capability, self.costs, self.weight, self.variant,
             )
-        new_state = apply_actions(state, actions, self.capability)
+            if inputs != self._idle_inputs:
+                actions = plan_adaptation(
+                    state, prediction, self.capability, self.costs, self.weight, self.variant
+                )
+                if not actions:
+                    self._idle_inputs = inputs
+        new_state = apply_actions(state, actions, self.capability) if actions else state
         cost = tick_cost(new_state, self.costs) + self.costs.switch_cost * len(actions)
         new_state = replace(new_state, cum_cost=state.cum_cost + cost)
         report = supply(new_state.behavior, observed_env)

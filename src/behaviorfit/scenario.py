@@ -24,7 +24,8 @@ A fixed trace can be given instead of turbulence (``trace.file = path``,
 resolved relative to the scenario file). Sensor scenarios replace the
 controller keys with ``sensors.<id> = {figs} cost`` lines and an optional
 ``critical = {figs}`` set; a scenario may use a controller or sensors,
-not both.
+not both. The ``capability.*`` and ``peers.*`` keys need
+``controller.predictor``.
 """
 
 from __future__ import annotations
@@ -185,9 +186,13 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
         except ValueError as exc:
             raise ScenarioError(f"line {turbulence_line}: turbulence: {exc}") from None
 
-    if scenario.predictor is not None or any(key.startswith(("capability.", "peers.")) for key in entries):
+    if scenario.predictor is not None:
         figures = capability_figures if capability_figures is not None else scenario.universe
         scenario.capability = Capability(figures, max_class, peers)
+    else:
+        for key, (lineno, _) in entries.items():
+            if key.startswith(("capability.", "peers.")):
+                raise ScenarioError(f"line {lineno}: {key}: only a controller reads it; set controller.predictor")
     return scenario
 
 

@@ -6,8 +6,10 @@ segment for each of its ticks' ``(sys_behavior, supply, fit, actions,
 cost, cum_cost)``. There is one segment function per kind of run, a
 closure built once per run. A static system and greedy sensor selection
 face one environment behavior for a whole segment, so they score, select
-and price it once and repeat the same objects on every tick; the MAPE-K
-controller still steps once per tick.
+and price it once and repeat the same objects on every tick. The MAPE-K
+controller steps until its predictor's window holds only the segment's
+behavior and a step leaves the state as it was; every later tick of the
+segment repeats that step's row.
 
 CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.
@@ -183,16 +185,31 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
         scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
     )
     state = SystemState(scenario.initial_behavior)
+    window = controller.predictor.window
 
     def run_segment(segment, mode):
         nonlocal state
         env = segment.behavior
-        for _ in range(segment.duration):
+        ticks = iter(range(segment.duration))
+        for k in ticks:
             before = state.cum_cost
             result = controller.step(state, env)
             state = result.state
             actions = tuple(format_action(a) for a in result.actions)
             yield state.behavior, result.supply, result.fit, actions, state.cum_cost - before, state.cum_cost
+            if k >= window and not actions:
+                break
+        else:
+            return
+        # From tick ``window`` on the history holds only ``env``, so the
+        # prediction is fixed; once a step is idle, every later step of the
+        # segment would be the same idle step and would add the same cost.
+        cost = tick_cost(state, scenario.costs)
+        cum = state.cum_cost
+        for _ in ticks:
+            before, cum = cum, cum + cost
+            yield state.behavior, result.supply, result.fit, (), cum - before, cum
+        state = replace(state, cum_cost=cum)
 
     return run_segment
 

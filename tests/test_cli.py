@@ -192,6 +192,15 @@ def test_run_seed_needs_turbulence(fixed_trace_file, capsys):
     assert main(["run", "--scenario", str(fixed_trace_file)]) == 0
 
 
+def test_peers_without_a_controller_exit_1(tmp_path, capsys):
+    path = tmp_path / "static.scenario"
+    path.write_text(TURBULENT.replace("controller.predictor = persistence", "peers.p.figures = 2"))
+    assert main(["run", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 7: peers.p.figures: " in captured.err and "controller.predictor" in captured.err
+
+
 def test_runtime_error_exit_code(scenario_file, capsys):
     missing_dir = scenario_file.parent / "nope" / "out.csv"
     assert main(["run", "--scenario", str(scenario_file), "--out", str(missing_dir)]) == 2

@@ -279,23 +279,30 @@ class TestControllerLoop:
         assert format_action(SetClass(BehaviorClass.PROACTIVE)) == "class:proactive"
 
 
+def reference_step(state, history, env, capability, costs, predictor, weight, variant) -> StepResult:
+    """Plain reference for one ``Controller.step`` from ``state``: it plans
+    on every call, from every observation in ``history``, recognises the
+    oracle by its type and gives it the incoming behavior as lookahead."""
+    actions = []
+    if history or isinstance(predictor, Oracle):
+        prediction = predict(predictor, history, env)
+        if prediction.figures is not None:
+            actions = plan_adaptation(state, prediction, capability, costs, weight, variant)
+    post = apply_actions(state, actions, capability)
+    cost = tick_cost(post, costs) + costs.switch_cost * len(actions)
+    post = replace(post, cum_cost=state.cum_cost + cost)
+    report = supply(post.behavior, env)
+    return StepResult(post, report, fit(report, variant), tuple(actions))
+
+
 def reference_steps(trace, start, capability, costs, predictor, weight, variant) -> list[StepResult]:
-    """Plain per-tick reference for ``Controller.step``: every observation
-    is kept in a list, the oracle is recognised by its type, and the
-    oracle's lookahead is the incoming behavior."""
+    """``reference_step`` on every tick, each from the state the one before
+    returned, with every observation kept in a list."""
     state, history, results = start, [], []
     for t in range(trace.horizon):
         env = trace.behavior_at(t)
-        actions = []
-        if history or isinstance(predictor, Oracle):
-            prediction = predict(predictor, history, env)
-            if prediction.figures is not None:
-                actions = plan_adaptation(state, prediction, capability, costs, weight, variant)
-        post = apply_actions(state, actions, capability)
-        cost = tick_cost(post, costs) + costs.switch_cost * len(actions)
-        state = replace(post, cum_cost=state.cum_cost + cost)
-        report = supply(state.behavior, env)
-        results.append(StepResult(state, report, fit(report, variant), tuple(actions)))
+        results.append(reference_step(state, history, env, capability, costs, predictor, weight, variant))
+        state = results[-1].state
         history.append(env)
     return results
 
@@ -338,6 +345,49 @@ def test_steps_match_the_full_history_reference(run, pass_lookahead):
         assert result == expected
         assert len(controller.history) == min(t + 1, predictor.window)
         state = result.state
+
+
+@st.composite
+def states(draw, capability: Capability) -> SystemState:
+    """Any class, any local figures and, from each lending peer, any of the
+    figures it lends."""
+    borrowed = {peer: draw(st.frozensets(st.sampled_from(sorted(figs)))) if figs else frozenset()
+                for peer, figs in capability.peer_figures.items()}
+    figures = draw(figure_sets).union(*borrowed.values())
+    cum_cost = draw(st.floats(0.0, 100.0))
+    return SystemState(Behavior(draw(st.sampled_from(list(BehaviorClass))), figures=figures), borrowed, cum_cost)
+
+
+@settings(max_examples=300, deadline=None)
+@given(controller_runs(), st.data())
+def test_steps_from_states_it_did_not_return_match_the_reference(run, data):
+    # Each tick steps from one of two fixed states or from the state the
+    # last step returned, so the same prediction meets different states
+    # and the controller's memory of its last idle plan must not carry over.
+    trace, start, capability, costs, predictor, weight, variant = run
+    controller = Controller(capability, costs, predictor, weight, variant)
+    other = data.draw(states(capability))
+    picks = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=trace.horizon, max_size=trace.horizon))
+    history, state = [], start
+    for t, pick in enumerate(picks):
+        env = trace.behavior_at(t)
+        state = (start, other, state)[pick]
+        expected = reference_step(state, history, env, capability, costs, predictor, weight, variant)
+        result = controller.step(state, env)
+        assert result == expected
+        history.append(env)
+        state = result.state
+
+
+def test_a_reassigned_weight_is_planned_with():
+    # a switch cost too high for the weight vetoes the trim; once the
+    # weight is cleared, the same state and prediction get a plan again
+    controller = Controller(FULL_CAP, CostModel(switch_cost=100.0), Persistence(), weight=1.0)
+    state = controller.step(SystemState(b("pur{1,2}")), b("pur{1}")).state
+    result = controller.step(state, b("pur{1}"))
+    assert result.actions == ()
+    controller.weight = 0.0
+    assert controller.step(result.state, b("pur{1}")).actions == (DisableFigure("2"),)
 
 
 @pytest.mark.parametrize("predictor, window", [(Persistence(), 1), (Oracle(), 0), (WindowMajority(3), 3)])

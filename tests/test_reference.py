@@ -3,9 +3,10 @@
 ``bench/reference.py`` replays a scenario one call per tick through each
 layer's public functions. Its reports, and the CSV and JSON rendered from
 them, must equal ``run_scenario``'s for every sample scenario, for the
-benchmark's workloads and for generated static, controller and sensor
-scenarios with short segments, so per-segment work in the loop is checked
-here.
+benchmark's workloads, for generated static, controller and sensor
+scenarios with short segments, and for generated controller scenarios
+with long ones, so per-segment work in the loop, and the controller's
+repeat of its idle step, is checked here.
 """
 
 import importlib.util
@@ -16,7 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from behaviorfit import SAFETY_THRESHOLD, BehaviorClass, load_scenario, parse_scenario, render_csv, render_json, run_scenario
+from behaviorfit import (
+    SAFETY_THRESHOLD,
+    BehaviorClass,
+    load_scenario,
+    parse_scenario,
+    render_csv,
+    render_json,
+    run_scenario,
+    scenario_trace,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,17 +104,50 @@ def short_segment_scenarios(draw) -> str:
         lines.append(f"system.behavior = {behavior}")
         lines.append(f"costs.figure = {draw(st.floats(0.0, 2.0))!r}")
     if kind == "controller":
-        predictor = draw(st.sampled_from(["oracle", "persistence", "majority"]))
-        if predictor == "majority":
-            predictor += f":{draw(st.integers(1, 6))}"
-        lines.append(f"controller.predictor = {predictor}")
-        lines.append(f"controller.weight = {draw(st.floats(0.0, 1.0))!r}")
-        for cost in ("borrow", "class", "switch"):
-            lines.append(f"costs.{cost} = {draw(st.floats(0.0, 2.0))!r}")
-        lines.append("capability.figures = " + _braced(draw(figure_sets)))
-        lines.append("capability.max_class = " + draw(st.sampled_from(CLASS_TOKENS)))
-        for peer in draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=2, unique=True)):
-            lines.append(f"peers.{peer}.figures = " + _braced(draw(figure_sets)))
+        lines += _controller_lines(draw, max_window=6, rates=st.floats(0.0, 2.0), peers=range(0, 3))
+    return "\n".join(lines) + "\n"
+
+
+def _controller_lines(draw, max_window: int, rates, peers: range) -> list[str]:
+    """Any predictor (``majority`` up to ``max_window``), a cost weight, the
+    borrow, class and switch rates, a class ceiling and a number of lending
+    peers in ``peers``."""
+    predictor = draw(st.sampled_from(["oracle", "persistence", "majority"]))
+    if predictor == "majority":
+        predictor += f":{draw(st.integers(1, max_window))}"
+    lines = [f"controller.predictor = {predictor}", f"controller.weight = {draw(st.floats(0.0, 1.0))!r}"]
+    for cost in ("borrow", "class", "switch"):
+        lines.append(f"costs.{cost} = {draw(rates)!r}")
+    lines.append("capability.figures = " + _braced(draw(figure_sets)))
+    lines.append("capability.max_class = " + draw(st.sampled_from(CLASS_TOKENS)))
+    ids = st.lists(st.sampled_from(["a", "b", "c"]), min_size=peers.start, max_size=peers.stop - 1, unique=True)
+    for peer in draw(ids):
+        lines.append(f"peers.{peer}.figures = " + _braced(draw(figure_sets)))
+    return lines
+
+
+@st.composite
+def long_segment_scenarios(draw) -> str:
+    """Controller scenario text whose segments last 4-12 ticks on average,
+    so a ``majority`` window of up to 8 fills inside a segment and the run
+    repeats its idle step; figure, borrow and switch costs are non-zero, so
+    every repeated tick adds to ``cum_cost``."""
+    rates = st.floats(0.01, 2.0)
+    mean_segment_len = draw(st.integers(4, 12))
+    lines = [
+        "universe = " + ",".join(FIGURES),
+        f"turbulence.seed = {draw(st.integers(0, 2**32))}",
+        f"turbulence.horizon = {draw(st.integers(mean_segment_len, 80))}",
+        f"turbulence.mean_segment_len = {mean_segment_len}",
+        f"turbulence.class_walk = {draw(st.floats(0.0, 1.0))!r}",
+        f"turbulence.figure_flip = {draw(st.floats(0.2, 0.8))!r}",
+        "fit.variant = " + draw(st.sampled_from(["linear", "quadratic"])),
+        "system.behavior = " + draw(st.sampled_from(CLASS_TOKENS)) + _braced(draw(figure_sets)),
+        f"costs.figure = {draw(rates)!r}",
+    ]
+    if draw(st.booleans()):
+        lines.append("critical = " + _braced(draw(st.frozensets(st.sampled_from(FIGURES), min_size=1))))
+    lines += _controller_lines(draw, max_window=8, rates=rates, peers=range(1, 4))
     return "\n".join(lines) + "\n"
 
 
@@ -167,5 +210,51 @@ def test_the_pinned_controller_example_borrows_returns_and_meets_its_ceiling():
 @example(CROSSING_SENSORS)
 @example(CEILED_BORROWER)
 def test_short_segment_runs_match_the_reference(text):
+    scenario = parse_scenario(text)
+    _check(scenario, scenario.turbulence.seed)
+
+
+# A controller run with a ``majority:2`` window (W = 2) in which a segment
+# idles at tick W - 1, acts at tick W and then repeats its idle step at
+# tick W + 1 for the rest of the segment: at tick W - 1 the window holds
+# the old and the new behavior, whose tied figures all stay in the vote.
+WINDOW_ACTOR = """universe = 1,2,3,4,5
+turbulence.seed = 12
+turbulence.horizon = 60
+turbulence.mean_segment_len = 10
+turbulence.class_walk = 0.3
+turbulence.figure_flip = 0.4
+system.behavior = pur{1,2,3}
+controller.predictor = majority:2
+controller.weight = 0.1
+costs.figure = 0.1
+costs.borrow = 0.3
+costs.class = 0.05
+costs.switch = 0.2
+capability.figures = 1,2,3,4
+capability.max_class = pro
+peers.a.figures = 5
+"""
+
+
+def test_the_pinned_long_segment_example_acts_at_its_window_and_then_repeats():
+    scenario = parse_scenario(WINDOW_ACTOR)
+    rows = run_scenario(scenario).rows
+    window = scenario.predictor.window
+    acting = [
+        segment for segment in scenario_trace(scenario).segments
+        if segment.duration > window + 2
+        and not rows[segment.start + window - 1].actions
+        and rows[segment.start + window].actions
+        and not any(row.actions for row in rows[segment.start + window + 1:segment.end])
+    ]
+    assert acting
+    assert any(token.startswith("borrow:a:") for row in rows for token in row.actions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_segment_scenarios())
+@example(WINDOW_ACTOR)
+def test_long_segment_runs_match_the_reference(text):
     scenario = parse_scenario(text)
     _check(scenario, scenario.turbulence.seed)

@@ -167,6 +167,23 @@ class TestValidate:
         )
         assert any("peers.p" in v for v in validate_scenario(s))
 
+    @pytest.mark.parametrize("system", ["", "sensors.m1 = {1} 1.0\n"], ids=["static", "sensors"])
+    def test_capability_and_peers_need_a_controller(self, system):
+        # only a controller reads them, so without one they are refused,
+        # naming the first such line, instead of being silently ignored
+        text = (
+            "universe = 1,2\nturbulence.seed = 1\n" + system
+            + "peers.p.figures = 2\ncapability.max_class = rea\n"
+        )
+        line = 3 + bool(system)
+        with pytest.raises(ScenarioError, match=rf"^line {line}: peers\.p\.figures: .*controller\.predictor"):
+            parse_scenario(text)
+        with pytest.raises(ScenarioError, match=rf"^line {line}: capability\.max_class: "):
+            parse_scenario(text.replace("peers.p.figures = 2\n", ""))
+        assert parse_scenario(text + "controller.predictor = persistence\n").capability.peer_figures == {
+            "p": frozenset("2")
+        }
+
     def test_capability_defaults_to_universe(self):
         s = parse_scenario(
             "universe = 1,2\nturbulence.seed = 1\ncontroller.predictor = persistence\n"

@@ -9,6 +9,7 @@ from behaviorfit import (
     NEG_INFINITY,
     CSV_COLUMNS,
     Capability,
+    Controller,
     FitVariant,
     Oracle,
     Persistence,
@@ -203,6 +204,59 @@ class TestPerSegmentEvaluation:
         # every tick of a segment carries the segment's one report
         for segment in segments:
             assert len({id(row.supply) for row in report.rows[segment.start:segment.end]}) == 1
+
+
+class TestControllerSegments:
+    """A controller run steps until its predictor's window holds only the
+    segment's behavior and a step is idle, then repeats that step's row."""
+
+    TEXT = (
+        "universe = 1,2,3,4\nturbulence.seed = {seed}\nturbulence.class_walk = 0.3\n"
+        "turbulence.figure_flip = 0.3\nturbulence.mean_segment_len = 8\nturbulence.horizon = 300\n"
+        "system.behavior = pur{{1,2}}\ncontroller.predictor = {predictor}\ncontroller.weight = 0.05\n"
+        "costs.figure = 0.1\ncosts.borrow = 0.2\ncosts.switch = 0.1\ncapability.figures = 1,2,3\n"
+        "capability.max_class = pro\npeers.a.figures = 4\ncritical = {{1}}\n"
+    )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("predictor, window", [("persistence", 1), ("oracle", 0), ("majority:3", 3)])
+    def test_at_most_window_plus_two_steps_per_segment(self, monkeypatch, predictor, window, seed):
+        # the run works out the awareness mode once per segment, before its
+        # first step, so the calls split the steps by segment
+        calls = []
+
+        def counting(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(Controller, "step", "step")
+        counting(behaviorfit.simulate, "awareness_mode", "segment")
+        scenario = parse_scenario(self.TEXT.format(seed=seed, predictor=predictor))
+        segments = scenario_trace(scenario).segments
+        rows = run_scenario(scenario).rows
+        steps = []
+        for label in calls:
+            if label == "segment":
+                steps.append(0)
+            else:
+                steps[-1] += 1
+        assert len(steps) == len(segments) > 1
+        skipped = 0
+        for segment, n in zip(segments, steps):
+            assert n <= min(segment.duration, window + 2)
+            if n < segment.duration:
+                # the last step was idle and every later row repeats it
+                skipped += segment.duration - n
+                idle = rows[segment.start + n - 1]
+                for row in rows[segment.start + n - 1:segment.end]:
+                    assert row.actions == ()
+                    assert (row.sys_behavior, row.supply, row.fit) == (idle.sys_behavior, idle.supply, idle.fit)
+        assert skipped > len(rows) // 3
 
 
 class TestRendering:
