@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .environment import format_trace
@@ -35,8 +36,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _variant(args: argparse.Namespace) -> FitVariant | None:
-    return FitVariant(args.fit_variant) if args.fit_variant else None
+def _overridden(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+    """The scenario with ``--fit-variant`` and ``--cost-weight`` applied;
+    ``run_scenario`` validates the result."""
+    return replace(
+        scenario,
+        variant=FitVariant(args.fit_variant) if args.fit_variant else scenario.variant,
+        weight=scenario.weight if args.cost_weight is None else args.cost_weight,
+    )
 
 
 def _render(report, fmt: str) -> str:
@@ -52,10 +59,8 @@ def _load(path: str, seeded_by: str | None) -> Scenario:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario, "--seed" if args.seed is not None else None)
-    report = run_scenario(
-        scenario, seed=args.seed, variant=_variant(args), weight=args.cost_weight
-    )
+    scenario = _overridden(_load(args.scenario, "--seed" if args.seed is not None else None), args)
+    report = run_scenario(scenario, seed=args.seed)
     if args.emit_trace:
         Path(args.emit_trace).write_text(format_trace(scenario_trace(scenario, args.seed)))
     _emit(_render(report, args.format), args.out)
@@ -74,19 +79,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    report = run_scenario(fig2_scenario(), variant=_variant(args), weight=args.cost_weight)
+    report = run_scenario(_overridden(fig2_scenario(), args))
     _emit(_render(report, args.format), args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario, "sweep")
+    scenario = _overridden(_load(args.scenario, "sweep"), args)
     lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost"]
     for seed in args.seeds:
-        report = run_scenario(
-            scenario, seed=seed, variant=_variant(args), weight=args.cost_weight
-        )
-        s = report.summary
+        s = run_scenario(scenario, seed=seed).summary
         lines.append(f"{seed},{s.mean_finite_fit!r},{s.neg_inf_ticks},{s.total_cost!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -99,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_overrides(p: argparse.ArgumentParser, with_seed: bool = False) -> None:
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None, help="override the trace seed")
+    def add_overrides(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--fit-variant", choices=["linear", "quadratic"], default=None,
             help="fit shape (default: scenario setting, linear)",
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a scenario file")
     p_run.add_argument("--scenario", required=True)
-    add_overrides(p_run, with_seed=True)
+    p_run.add_argument("--seed", type=int, default=None, help="override the trace seed")
+    add_overrides(p_run)
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
     p_run.add_argument(
         "--emit-trace", default=None, metavar="FILE",

@@ -90,10 +90,7 @@ class SystemState:
 
     @property
     def borrowed_figures(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for figs in self.borrowed.values():
-            out |= figs
-        return out
+        return frozenset().union(*self.borrowed.values())
 
     @property
     def local_figures(self) -> frozenset[str]:
@@ -134,7 +131,7 @@ def predict(
     predictor: Predictor, history: Sequence[Behavior], oracle_next: Behavior | None = None
 ) -> Behavior:
     """Predicted next environment behavior from past observations, oldest first."""
-    if isinstance(predictor, Oracle):
+    if not predictor.window:
         if oracle_next is None:
             raise ValueError("oracle predictor needs oracle_next")
         return oracle_next
@@ -226,14 +223,8 @@ def apply_actions(
             borrowed.get(action.peer, set()).discard(action.figure)
         else:
             klass = action.klass
-    figures = set(local)
-    for figs in borrowed.values():
-        figures |= figs
-    return SystemState(
-        Behavior(klass, figures=frozenset(figures)),
-        {p: frozenset(figs) for p, figs in borrowed.items() if figs},
-        state.cum_cost,
-    )
+    figures = frozenset(local).union(*borrowed.values())
+    return SystemState(Behavior(klass, figures=figures), borrowed, state.cum_cost)
 
 
 def plan_adaptation(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .behavior import Behavior, BehaviorClass, format_behavior, parse_behavior, parse_figures
 
@@ -88,28 +89,22 @@ class EnvironmentTrace:
         """Environment behavior at tick ``t``; raises IndexError out of range."""
         if not 0 <= t < self.horizon:
             raise IndexError(f"tick {t} outside trace range [0, {self.horizon})")
-        starts = [seg.start for seg in self.segments]
-        i = bisect.bisect_right(starts, t) - 1
+        i = bisect.bisect_right(self.segments, t, key=attrgetter("start")) - 1
         return self.segments[i].behavior
 
 
-_FIG2_SETS = ("1,2,3,4", "1,4", "4", "1,2,3,4", "1,2,3,4,5")
-FIG2_SEGMENT_TICKS = 10
-
-
 def fig2_trace() -> EnvironmentTrace:
-    """The worked five-segment example trace: purposeful behavior over
-    figure sets {1,2,3,4}, {1,4}, {4}, {1,2,3,4}, {1,2,3,4,5}, ten ticks
-    each, on the universe {1,...,5}."""
-    segments = tuple(
-        Segment(
-            i * FIG2_SEGMENT_TICKS,
-            FIG2_SEGMENT_TICKS,
-            Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset(figs.split(","))),
-        )
-        for i, figs in enumerate(_FIG2_SETS)
+    """The worked five-segment example trace, the one
+    ``scenarios/fig2.trace`` holds: purposeful behavior, ten ticks per
+    segment, on the universe {1,...,5}."""
+    return parse_trace(
+        "universe: 1,2,3,4,5\n"
+        "0 10 pur{1,2,3,4}\n"
+        "10 10 pur{1,4}\n"
+        "20 10 pur{4}\n"
+        "30 10 pur{1,2,3,4}\n"
+        "40 10 pur{1,2,3,4,5}\n"
     )
-    return EnvironmentTrace(segments, frozenset("12345"))
 
 
 class SplitMix64:

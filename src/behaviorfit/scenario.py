@@ -235,6 +235,10 @@ def validate_scenario(s: Scenario) -> list[str]:
         seen_ids.add(sensor.id)
         inside_universe(f"sensors.{sensor.id}", sensor.coverage)
     inside_universe("critical", s.critical)
+    if s.predictor is not None and s.capability is None:
+        violations.append("controller.predictor: a controller needs a capability")
+    if s.capability is not None and s.predictor is None:
+        violations.append("capability: only a controller reads it; set controller.predictor")
     if s.predictor is not None and s.sensors:
         violations.append("controller.predictor: a controller and a sensor inventory are mutually exclusive")
     if s.weight < 0:

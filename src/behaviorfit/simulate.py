@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 from .behavior import Behavior, BehaviorClass, format_behavior
 from .controller import Controller, SystemState, format_action, tick_cost
 from .environment import EnvironmentTrace, fig2_trace, generate_trace
-from .metrics import NEG_INFINITY, FitVariant, SupplyReport, fit, supply
+from .metrics import NEG_INFINITY, SupplyReport, fit, supply
 from .scenario import Scenario, ScenarioError, validate_scenario
 from .sensors import awareness_mode, select_sensors
 
@@ -122,25 +122,12 @@ def scenario_trace(scenario: Scenario, seed: int | None = None) -> EnvironmentTr
     return generate_trace(spec, scenario.universe)
 
 
-def run_scenario(
-    scenario: Scenario,
-    *,
-    seed: int | None = None,
-    variant: FitVariant | None = None,
-    weight: float | None = None,
-) -> RunReport:
+def run_scenario(scenario: Scenario, *, seed: int | None = None) -> RunReport:
     """Simulate one scenario, one row per tick; deterministic for a fixed seed.
 
-    ``seed``, ``variant`` and ``weight`` override the scenario's values
-    (the seed only applies to generated traces) and are validated with
-    them. Raises ScenarioError if the scenario is invalid or its total
-    cost overflows.
+    ``seed`` overrides the seed of a generated trace. Raises ScenarioError
+    if the scenario is invalid or its total cost overflows.
     """
-    scenario = replace(
-        scenario,
-        variant=scenario.variant if variant is None else variant,
-        weight=scenario.weight if weight is None else weight,
-    )
     violations = validate_scenario(scenario)
     if violations:
         raise ScenarioError("scenario is invalid:\n" + "\n".join(violations))

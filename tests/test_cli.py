@@ -102,6 +102,10 @@ GOOD_TRACE = "universe: 1,2\n0 5 pur{1}\n"
         ("universe = 1,2\npeers.p:q.figures = 5\n", GOOD_TRACE, "line 2: peers.p:q.figures: bad id 'p:q'"),
         ("universe = 1,2\n", "universe: 1,2 3\n0 5 pur{1}\n", "trace.file: line 1: bad figure token '2 3'"),
         ("universe = 1,2\n", "universe: 1,2\n0 5 pur{a b}\n", "trace.file: line 2: bad figure token 'a b'"),
+        ("universe =\n", GOOD_TRACE, "universe: must not be empty"),
+        ("universe = 1,2\n", "universe: 1,2\n", "line 3: trace.file: trace needs at least one segment"),
+        ("universe = 1,2\n", "# only a comment\n", "line 3: trace.file: trace text has no universe header"),
+        ("universe = 1,2\n", "universe: 1,2\n-1 5 pur{1}\n", "line 3: trace.file: line 2: segment start must be >= 0"),
     ],
 )
 def test_bad_names_fail_naming_the_line_and_key(tmp_path, capsys, scenario, trace, named):
@@ -121,14 +125,21 @@ def test_sweep(scenario_file, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["3", "4", "5", "6"]
 
 
-@pytest.mark.parametrize("seeds", ["5..1", "2..1"])
-def test_sweep_rejects_an_empty_seed_range(scenario_file, capsys, seeds):
+@pytest.mark.parametrize(
+    "seeds,message",
+    [
+        pytest.param("5..1", "empty seed range", id="5..1"),
+        pytest.param("2..1", "empty seed range", id="2..1"),
+        pytest.param("a..b", "expected A..B, got 'a..b'", id="a..b"),
+    ],
+)
+def test_sweep_rejects_an_empty_seed_range(scenario_file, capsys, seeds, message):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--scenario", str(scenario_file), "--seeds", seeds])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "empty seed range" in captured.err
+    assert message in captured.err
 
 
 def test_sweep_single_seed_range(scenario_file, capsys):

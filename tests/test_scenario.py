@@ -1,7 +1,12 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from behaviorfit import (
     BehaviorClass,
+    Capability,
     Persistence,
     Scenario,
     ScenarioError,
@@ -9,11 +14,15 @@ from behaviorfit import (
     WindowMajority,
     fig2_scenario,
     fig2_trace,
+    format_trace,
     load_scenario,
     parse_scenario,
+    run_scenario,
     validate_scenario,
     parse_behavior as b,
 )
+
+SAMPLES = Path(__file__).parent.parent / "scenarios"
 
 FULL = """
 name = demo
@@ -117,6 +126,10 @@ class TestParse:
             ("sensors.m1 = {1,} 1\n", r"sensors\.m1: bad figure token ''"),
             ("turbulence.wind = 1\n", "unknown key 'turbulence.wind'"),
             ("turbulence.seed = 1\nname = x\nturbulence.horizon = 5\n", "line 3: turbulence: horizon must be"),
+            ("controller.predictor = majority:0\n", "controller.predictor: window must be >= 1, got 0"),
+            ("system.class = pur, pur, pur, pur, pur\n", "system.class: class tuple must be parenthesized"),
+            ("turbulence.seed = 1\nturbulence.figure_flip = 1.5\n", r"line 2: turbulence: figure_flip must be in \[0, 1\]"),
+            ("turbulence.seed = 1\nturbulence.mean_segment_len = 0\n", "line 2: turbulence: mean_segment_len must be >= 1"),
         ],
     )
     def test_parse_errors_name_the_line(self, text, match):
@@ -152,6 +165,28 @@ class TestValidate:
         s = fig2_scenario()
         s.universe = frozenset("123")
         assert any(v.startswith("trace:") for v in validate_scenario(s))
+
+    def test_duplicate_sensor_ids(self):
+        s = parse_scenario("universe = 1\nturbulence.seed = 1\nsensors.a = {1} 1.0\n")
+        s.sensors += (SensorNode("a", frozenset("1"), 2.0),)
+        assert validate_scenario(s) == ["sensors.a: duplicate sensor id"]
+
+    @pytest.mark.parametrize(
+        "predictor,capability,violation",
+        [
+            (Persistence(), None, "controller.predictor: a controller needs a capability"),
+            (None, Capability(frozenset("5")), "capability: only a controller reads it; set controller.predictor"),
+        ],
+        ids=["predictor-only", "capability-only"],
+    )
+    def test_code_built_controller_needs_predictor_and_capability(self, predictor, capability, violation):
+        # scenario files cannot reach these, as the parser pairs the two;
+        # a scenario built in code must fail validation, not crash or be
+        # run as a static system
+        s = replace(fig2_scenario(), predictor=predictor, capability=capability)
+        assert validate_scenario(s) == [violation]
+        with pytest.raises(ScenarioError, match=re.escape(violation)):
+            run_scenario(s)
 
     def test_controller_and_sensors_exclusive(self):
         s = parse_scenario(
@@ -193,10 +228,13 @@ class TestValidate:
 
     def test_fig2_trace_matches_demo_scenario(self):
         assert fig2_scenario().trace == fig2_trace()
+        # the built-in example and its scenario files are one worked example
+        assert format_trace(fig2_trace()) == (SAMPLES / "fig2.trace").read_text()
+        assert replace(load_scenario(SAMPLES / "static-fig2.scenario"), name="fig2") == fig2_scenario()
 
 
 class TestShippedScenarios:
-    SCENARIOS = sorted((__import__("pathlib").Path(__file__).parent.parent / "scenarios").glob("*.scenario"))
+    SCENARIOS = sorted(SAMPLES.glob("*.scenario"))
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
     def test_loads_validates_and_runs(self, path):

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -74,7 +75,7 @@ class TestStaticRun:
         assert report.summary.mean_finite_fit == pytest.approx(sum(finite) / len(finite))
 
     def test_quadratic_override(self):
-        report = run_scenario(fig2_scenario(), variant=FitVariant.QUADRATIC)
+        report = run_scenario(replace(fig2_scenario(), variant=FitVariant.QUADRATIC))
         assert report.rows[10].fit == pytest.approx(1 / (1 + (2 * LN3) ** 2), abs=1e-12)
 
     def test_invalid_scenario_raises_with_violations(self):
