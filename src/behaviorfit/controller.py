@@ -9,6 +9,7 @@ cost-adjusted fit against the prediction.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Mapping, Sequence
@@ -67,8 +68,8 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("figure_cost", "borrow_cost", "class_cost", "switch_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"expected a finite non-negative {name}")
 
 
 @dataclass(frozen=True)

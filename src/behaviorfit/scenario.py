@@ -41,7 +41,7 @@ from .environment import EnvironmentTrace, TurbulenceSpec, parse_trace
 from .metrics import FitVariant
 from .sensors import SensorNode
 
-__all__ = ["Scenario", "ScenarioError", "finite_number", "load_scenario", "parse_scenario", "validate_scenario"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "validate_scenario"]
 
 
 class ScenarioError(ValueError):
@@ -70,14 +70,6 @@ class Scenario:
     critical: frozenset[str] = frozenset()
 
 
-def finite_number(value: str) -> float:
-    """``float(value)``, refusing NaN and the infinities."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
 def _id(value: str) -> str:
     """A sensor or peer id, which follows the figure token rule."""
     if not _FIGURE_RE.match(value):
@@ -101,15 +93,15 @@ def _parse_predictor(value: str) -> Predictor:
 _COST_KEYS = {"figure": "figure_cost", "borrow": "borrow_cost", "class": "class_cost", "switch": "switch_cost"}
 _TURBULENCE_KEYS = {
     "turbulence.seed": int,
-    "turbulence.class_walk": finite_number,
-    "turbulence.figure_flip": finite_number,
+    "turbulence.class_walk": float,
+    "turbulence.figure_flip": float,
     "turbulence.mean_segment_len": int,
     "turbulence.horizon": int,
 }
 
 
 def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario") -> Scenario:
-    """Parse scenario text; raises ScenarioError naming line and key."""
+    """Parse and validate scenario text; raises ScenarioError naming line and key."""
     entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -148,12 +140,12 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
             elif key == "controller.predictor":
                 scenario.predictor = _parse_predictor(value)
             elif key == "controller.weight":
-                scenario.weight = finite_number(value)
+                scenario.weight = float(value)
             elif key.startswith("costs."):
                 cost = _COST_KEYS.get(key.removeprefix("costs."))
                 if cost is None:
                     raise ValueError(f"unknown cost {key!r}")
-                scenario.costs = replace(scenario.costs, **{cost: finite_number(value)})
+                scenario.costs = replace(scenario.costs, **{cost: float(value)})
             elif key == "capability.figures":
                 capability_figures = parse_figures(value)
             elif key == "capability.max_class":
@@ -167,7 +159,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
                 if len(parts) != 2:
                     raise ValueError("expected '{figures} cost'")
                 sensor_id = _id(key.removeprefix("sensors."))
-                sensor = SensorNode(sensor_id, parse_figures(parts[0]), finite_number(parts[1]))
+                sensor = SensorNode(sensor_id, parse_figures(parts[0]), float(parts[1]))
                 scenario.sensors += (sensor,)
             elif key == "critical":
                 scenario.critical = parse_figures(value)
@@ -193,6 +185,15 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
         for key, (lineno, _) in entries.items():
             if key.startswith(("capability.", "peers.")):
                 raise ScenarioError(f"line {lineno}: {key}: only a controller reads it; set controller.predictor")
+
+    def with_line(violation: str) -> str:
+        named = violation.split(":", 1)[0]  # a key, or the prefix of the keys under it
+        lines = [n for key, (n, _) in entries.items() if key == named or key.startswith(named + ".")]
+        return f"line {lines[0]}: {violation}" if lines else violation
+
+    violations = validate_scenario(scenario)
+    if violations:
+        raise ScenarioError("\n".join(map(with_line, violations)))
     return scenario
 
 
@@ -204,9 +205,9 @@ def load_scenario(path: str | Path) -> Scenario:
 def validate_scenario(s: Scenario) -> list[str]:
     """Cross-checks over a scenario; each violation names field and rule.
 
-    Field-local invariants (positive costs, probability ranges and so on)
-    are enforced when the objects are built; this covers figure references
-    and the rules tying the pieces together.
+    Field-local invariants (finite costs, probability ranges and so on) are
+    enforced when the objects are built; this covers the plain ``weight``,
+    figure references and the rules tying the pieces together.
     """
     violations = []
 
@@ -241,6 +242,6 @@ def validate_scenario(s: Scenario) -> list[str]:
         violations.append("capability: only a controller reads it; set controller.predictor")
     if s.predictor is not None and s.sensors:
         violations.append("controller.predictor: a controller and a sensor inventory are mutually exclusive")
-    if s.weight < 0:
-        violations.append("controller.weight: must be non-negative")
+    if not 0 <= s.weight < math.inf:
+        violations.append("controller.weight: must be finite and non-negative")
     return violations

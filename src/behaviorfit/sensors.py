@@ -8,6 +8,7 @@ sensors that reach the required coverage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,8 +34,8 @@ class SensorNode:
         object.__setattr__(self, "coverage", frozenset(self.coverage))
         if not self.coverage:
             raise ValueError(f"sensor {self.id!r} covers no figures")
-        if self.energy_cost <= 0:
-            raise ValueError(f"sensor {self.id!r} needs a positive energy cost")
+        if not 0 < self.energy_cost < math.inf:
+            raise ValueError(f"expected a finite positive energy cost for sensor {self.id!r}")
 
 
 @dataclass(frozen=True)

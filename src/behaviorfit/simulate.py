@@ -110,11 +110,13 @@ def _summarize(rows: list[TickRow]) -> RunSummary:
 
 
 def scenario_trace(scenario: Scenario, seed: int | None = None) -> EnvironmentTrace:
-    """The trace a run would use: the fixed one, or the generated one
-    (with the seed override applied)."""
+    """The trace a run would use: the fixed one, which refuses a seed, or
+    the generated one with the seed override applied."""
+    spec = scenario.turbulence
+    if spec is None and seed is not None:
+        raise ScenarioError(f"seed {seed}: only a scenario with a turbulence spec takes a seed")
     if scenario.trace is not None:
         return scenario.trace
-    spec = scenario.turbulence
     if spec is None:
         raise ScenarioError("scenario has neither a trace nor a turbulence spec")
     if seed is not None:
@@ -126,7 +128,7 @@ def run_scenario(scenario: Scenario, *, seed: int | None = None) -> RunReport:
     """Simulate one scenario, one row per tick; deterministic for a fixed seed.
 
     ``seed`` overrides the seed of a generated trace. Raises ScenarioError
-    if the scenario is invalid or its total cost overflows.
+    if the scenario is invalid, refuses the seed, or its total cost overflows.
     """
     violations = validate_scenario(scenario)
     if violations:

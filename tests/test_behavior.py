@@ -170,6 +170,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset("1"), arity=1)
 
+    def test_rejects_a_bare_int_class(self):
+        with pytest.raises(TypeError, match="klass must be a BehaviorClass"):
+            Behavior(2, figures=frozenset("1"))
+
     def test_rejects_zero_arity(self):
         with pytest.raises(ValueError):
             Behavior(BehaviorClass.PROACTIVE, arity=0)

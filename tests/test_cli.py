@@ -82,6 +82,21 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "sensors.m1" in err
 
 
+def test_validate_and_run_print_the_same_lines(tmp_path, capsys):
+    # every violation names its line, and both verbs report them the same way
+    path = tmp_path / "broken.scenario"
+    path.write_text("universe =\nturbulence.seed = 7\nsensors.m1 = {1,9} 1.0\n")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    validated = capsys.readouterr()
+    assert main(["run", "--scenario", str(path)]) == 1
+    ran = capsys.readouterr()
+    assert validated.out == ran.out == ""
+    assert validated.err == ran.err == (
+        "error: line 1: universe: must not be empty\n"
+        "line 3: sensors.m1: figures ['1', '9'] outside universe\n"
+    )
+
+
 def test_parse_error_is_validation_failure(tmp_path, capsys):
     path = tmp_path / "bad.scenario"
     path.write_text("universe 1\n")
@@ -149,10 +164,10 @@ def test_sweep_single_seed_range(scenario_file, capsys):
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
 def test_cost_weight_must_be_finite(scenario_file, capsys, weight):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--scenario", str(scenario_file), f"--cost-weight={weight}"])
-    assert exc.value.code == 2
-    assert "--cost-weight" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(scenario_file), f"--cost-weight={weight}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "controller.weight: must be finite" in captured.err
 
 
 def test_non_finite_scenario_number_is_a_validation_failure(tmp_path, capsys):
@@ -199,7 +214,7 @@ def test_run_seed_needs_turbulence(fixed_trace_file, capsys):
     assert main(["run", "--scenario", str(fixed_trace_file), "--seed", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--seed" in captured.err and "turbulence" in captured.err
+    assert "seed" in captured.err and "turbulence" in captured.err
     assert main(["run", "--scenario", str(fixed_trace_file)]) == 0
 
 

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from dataclasses import replace
 
@@ -132,6 +133,10 @@ class TestPlanAdaptation:
         cap = Capability(frozenset("12"))
         assert plan_adaptation(state, b("pur{1,2,9}"), cap, CostModel(), 0.0) == []
 
+    def test_prediction_must_name_its_figures(self):
+        with pytest.raises(ValueError, match="prediction must name its figures"):
+            plan_adaptation(SystemState(b("pur{1}")), b("pur"), FULL_CAP, CostModel(), 0.0)
+
     def test_switch_cost_can_veto_a_trim(self):
         state = SystemState(b("pur{1,2,3,4}"))
         costs = CostModel(switch_cost=100.0)
@@ -155,6 +160,16 @@ class TestPlanAdaptation:
                 0.3,
             )
             assert after > before
+
+
+class TestCostModel:
+    @pytest.mark.parametrize(
+        "rates", [{"figure_cost": -1.0}, {"figure_cost": math.nan}, {"switch_cost": math.inf}],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_rates_must_be_finite_and_non_negative(self, rates):
+        with pytest.raises(ValueError, match=f"expected a finite non-negative {next(iter(rates))}"):
+            CostModel(**rates)
 
 
 class TestApplyActions:

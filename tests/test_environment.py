@@ -35,6 +35,11 @@ class TestTraceStructure:
         with pytest.raises(ValueError, match="name their figures"):
             Segment(0, 5, b("pur"))
 
+    def test_stores_a_tuple_and_a_frozenset(self):
+        trace = EnvironmentTrace([Segment(0, 2, b("pur{1}"))], {"1", "2"})
+        assert type(trace.segments) is tuple and trace.segments == (Segment(0, 2, b("pur{1}")),)
+        assert type(trace.universe) is frozenset and trace.universe == frozenset("12")
+
     def test_behavior_at(self):
         trace = EnvironmentTrace(
             (Segment(0, 2, b("pur{1}")), Segment(2, 3, b("pur{2}"))), frozenset("12")

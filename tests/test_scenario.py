@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -80,7 +81,9 @@ class TestParse:
         assert s.critical == frozenset("3")
 
     def test_sensor_line_splits_on_any_whitespace(self):
-        s = parse_scenario("sensors.m1 = {1, 2}\t1.5\nsensors.m2 = {3}  \t 0.5\n")
+        s = parse_scenario(
+            "universe = 1,2,3\nturbulence.seed = 1\nsensors.m1 = {1, 2}\t1.5\nsensors.m2 = {3}  \t 0.5\n"
+        )
         assert s.sensors == (
             SensorNode("m1", frozenset("12"), 1.5),
             SensorNode("m2", frozenset("3"), 0.5),
@@ -114,10 +117,10 @@ class TestParse:
             ("system.behavior = zzz\n", "behavior"),
             ("sensors.m1 = {1,2}\n", "m1"),
             ("controller.predictor = majority:x\n", "majority"),
-            ("costs.figure = inf\n", "costs.figure: expected a finite number"),
-            ("controller.weight = nan\n", "controller.weight: expected a finite number"),
-            ("sensors.x = {a} nan\n", "sensors.x: expected a finite number"),
-            ("sensors.x = {a} -inf\n", "sensors.x: expected a finite number"),
+            ("costs.figure = inf\n", "costs.figure: expected a finite non-negative figure_cost"),
+            ("controller.weight = nan\n", "controller.weight: must be finite and non-negative"),
+            ("sensors.x = {a} nan\n", "sensors.x: expected a finite positive energy cost for sensor 'x'"),
+            ("sensors.x = {a} -inf\n", "sensors.x: expected a finite positive energy cost for sensor 'x'"),
             ("universe = 1 2\n", "universe: bad figure token '1 2'"),
             ("capability.figures = 1,,2\n", "capability.figures: bad figure token ''"),
             ("peers.p.figures = {1;2}\n", r"peers\.p\.figures: bad figure token '1;2'"),
@@ -130,6 +133,9 @@ class TestParse:
             ("system.class = pur, pur, pur, pur, pur\n", "system.class: class tuple must be parenthesized"),
             ("turbulence.seed = 1\nturbulence.figure_flip = 1.5\n", r"line 2: turbulence: figure_flip must be in \[0, 1\]"),
             ("turbulence.seed = 1\nturbulence.mean_segment_len = 0\n", "line 2: turbulence: mean_segment_len must be >= 1"),
+            ("capability.max_class = xyz\n", "line 1: capability.max_class: unknown behavior class 'xyz'"),
+            ("universe =\n", "line 1: universe: must not be empty"),
+            ("turbulence.seed = 1\nturbulence.class_walk = nan\n", r"line 2: turbulence: class_walk must be in \[0, 1\], got nan"),
         ],
     )
     def test_parse_errors_name_the_line(self, text, match):
@@ -151,10 +157,8 @@ class TestValidate:
         assert any("exactly one" in v for v in validate_scenario(s2))
 
     def test_sensor_figures_outside_universe(self):
-        s = parse_scenario("universe = 1\nturbulence.seed = 1\nsensors.m1 = {1,9} 1.0\n")
-        violations = validate_scenario(s)
-        assert len(violations) == 1
-        assert "sensors.m1" in violations[0] and "9" in violations[0]
+        with pytest.raises(ScenarioError, match=r"^line 3: sensors\.m1: figures \['9'\] outside universe$"):
+            parse_scenario("universe = 1\nturbulence.seed = 1\nsensors.m1 = {1,9} 1.0\n")
 
     def test_system_behavior_must_name_figures(self):
         s = fig2_scenario()
@@ -188,19 +192,27 @@ class TestValidate:
         with pytest.raises(ScenarioError, match=re.escape(violation)):
             run_scenario(s)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_weight_must_be_finite(self, weight):
+        # a NaN weight makes every fit comparison false, so the controller would never adapt
+        s = replace(load_scenario(SAMPLES / "canary.scenario"), weight=weight)
+        assert validate_scenario(s) == ["controller.weight: must be finite and non-negative"]
+        with pytest.raises(ScenarioError, match="controller.weight"):
+            run_scenario(s)
+
     def test_controller_and_sensors_exclusive(self):
-        s = parse_scenario(
-            "universe = 1\nturbulence.seed = 1\n"
-            "controller.predictor = persistence\nsensors.m1 = {1} 1.0\n"
-        )
-        assert any("mutually exclusive" in v for v in validate_scenario(s))
+        with pytest.raises(ScenarioError, match=r"^line 3: controller\.predictor: .*mutually exclusive$"):
+            parse_scenario(
+                "universe = 1\nturbulence.seed = 1\n"
+                "controller.predictor = persistence\nsensors.m1 = {1} 1.0\n"
+            )
 
     def test_peer_figures_outside_universe(self):
-        s = parse_scenario(
-            "universe = 1\nturbulence.seed = 1\n"
-            "controller.predictor = persistence\npeers.p.figures = 7\n"
-        )
-        assert any("peers.p" in v for v in validate_scenario(s))
+        with pytest.raises(ScenarioError, match=r"^line 4: peers\.p\.figures: figures \['7'\] outside universe$"):
+            parse_scenario(
+                "universe = 1\nturbulence.seed = 1\n"
+                "controller.predictor = persistence\npeers.p.figures = 7\n"
+            )
 
     @pytest.mark.parametrize("system", ["", "sensors.m1 = {1} 1.0\n"], ids=["static", "sensors"])
     def test_capability_and_peers_need_a_controller(self, system):
@@ -215,9 +227,13 @@ class TestValidate:
             parse_scenario(text)
         with pytest.raises(ScenarioError, match=rf"^line {line}: capability\.max_class: "):
             parse_scenario(text.replace("peers.p.figures = 2\n", ""))
-        assert parse_scenario(text + "controller.predictor = persistence\n").capability.peer_figures == {
-            "p": frozenset("2")
-        }
+        with_controller = text + "controller.predictor = persistence\n"
+        if system:
+            # the peers line is read now; what is left is that sensors exclude a controller
+            with pytest.raises(ScenarioError, match=r"^line 6: controller\.predictor: .*mutually exclusive$"):
+                parse_scenario(with_controller)
+        else:
+            assert parse_scenario(with_controller).capability.peer_figures == {"p": frozenset("2")}
 
     def test_capability_defaults_to_universe(self):
         s = parse_scenario(

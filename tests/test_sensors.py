@@ -158,3 +158,8 @@ class TestSensorNode:
     def test_rejects_free_sensors(self):
         with pytest.raises(ValueError):
             SensorNode("x", frozenset("1"), 0.0)
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_rejects_non_finite_energy_cost(self, cost):
+        with pytest.raises(ValueError, match="expected a finite positive energy cost"):
+            SensorNode("x", frozenset("1"), cost)

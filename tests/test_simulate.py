@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from behaviorfit import (
     ScenarioError,
     SupplyKind,
     fig2_scenario,
+    load_scenario,
     parse_scenario,
     render_csv,
     render_json,
@@ -83,6 +85,18 @@ class TestStaticRun:
         scenario.universe = frozenset("123")
         with pytest.raises(ScenarioError, match="trace:"):
             run_scenario(scenario)
+
+    def test_a_fixed_trace_refuses_a_seed(self):
+        # the seed would be ignored, so naming one is an error, not a no-op
+        canary = load_scenario(Path(__file__).parent.parent / "scenarios" / "canary.scenario")
+        with pytest.raises(ScenarioError, match="seed 11: .*turbulence spec"):
+            run_scenario(canary, seed=11)
+        with pytest.raises(ScenarioError, match="seed 11: .*turbulence spec"):
+            scenario_trace(canary, 11)
+
+    def test_scenario_trace_needs_a_trace_or_a_turbulence_spec(self):
+        with pytest.raises(ScenarioError, match="neither a trace nor a turbulence spec"):
+            scenario_trace(replace(fig2_scenario(), trace=None))
 
 
 class TestCostOverflow:
