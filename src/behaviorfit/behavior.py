@@ -135,7 +135,7 @@ def comparable(b1: Behavior, b2: Behavior) -> bool:
     return b1 == b2 or precedes(b1, b2) or precedes(b2, b1)
 
 
-def _scope_exponents(b1: Behavior, b2: Behavior) -> tuple[int, int]:
+def _exponents(b1: Behavior, b2: Behavior) -> tuple[int, int, int]:
     # Named-figure axis: symmetric difference between sets; a named set
     # against a set-less scope counts its size plus one, so distinct scopes
     # never collapse to distance zero (pur{} stays apart from bare pur).
@@ -149,7 +149,7 @@ def _scope_exponents(b1: Behavior, b2: Behavior) -> tuple[int, int]:
         figs = 0
     # Arity axis: declared counts only; named sets live on the figure axis.
     arity = abs((b1.arity or 0) - (b2.arity or 0))
-    return figs, arity
+    return abs(b1.klass - b2.klass), figs, arity
 
 
 def distance(b1: Behavior, b2: Behavior) -> float:
@@ -162,15 +162,13 @@ def distance(b1: Behavior, b2: Behavior) -> float:
     inequality hold, and the distance is zero exactly for equal behaviors.
     ``exp(distance)`` is the integer 2^a * 3^b * 5^c (see godel_number).
     """
-    a = abs(b1.klass - b2.klass)
-    b, c = _scope_exponents(b1, b2)
+    a, b, c = _exponents(b1, b2)
     return a * LN2 + b * LN3 + c * LN5
 
 
 def godel_number(b1: Behavior, b2: Behavior) -> int:
     """Integer encoding of the pair's differences, 2^a * 3^b * 5^c."""
-    a = abs(b1.klass - b2.klass)
-    b, c = _scope_exponents(b1, b2)
+    a, b, c = _exponents(b1, b2)
     return 2**a * 3**b * 5**c
 
 

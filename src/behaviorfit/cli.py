@@ -36,11 +36,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _overridden(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    """The scenario with ``--fit-variant`` and ``--cost-weight`` applied;
-    ``run_scenario`` validates the result."""
+def _overridden(scenario: Scenario, args: argparse.Namespace, seed: int | None = None) -> Scenario:
+    """The scenario a verb runs: ``--fit-variant`` and ``--cost-weight``
+    applied, and the trace that ``seed`` draws pinned, so a run and its
+    ``--emit-trace`` share one draw. ``run_scenario`` validates the result."""
     return replace(
         scenario,
+        trace=scenario_trace(scenario, seed),
+        turbulence=None,
         variant=FitVariant(args.fit_variant) if args.fit_variant else scenario.variant,
         weight=scenario.weight if args.cost_weight is None else args.cost_weight,
     )
@@ -51,10 +54,10 @@ def _render(report, fmt: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _overridden(load_scenario(args.scenario), args)
-    report = run_scenario(scenario, seed=args.seed)
+    scenario = _overridden(load_scenario(args.scenario), args, args.seed)
+    report = run_scenario(scenario)
     if args.emit_trace:
-        Path(args.emit_trace).write_text(format_trace(scenario_trace(scenario, args.seed)))
+        Path(args.emit_trace).write_text(format_trace(scenario.trace))
     _emit(_render(report, args.format), args.out)
     return 0
 
@@ -72,10 +75,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _overridden(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
     lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost"]
     for seed in args.seeds:
-        s = run_scenario(scenario, seed=seed).summary
+        s = run_scenario(_overridden(scenario, args, seed)).summary
         lines.append(f"{seed},{s.mean_finite_fit!r},{s.neg_inf_ticks},{s.total_cost!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

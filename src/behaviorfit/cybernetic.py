@@ -58,14 +58,12 @@ def organ_relation(o1: Behavior | None, o2: Behavior | None) -> str:
     An absent organ is strictly below any present behavior and equal only
     to an absent one.
     """
-    if o1 is None and o2 is None:
+    if o1 == o2:
         return "eq"
     if o1 is None:
         return "lt"
     if o2 is None:
         return "gt"
-    if o1 == o2:
-        return "eq"
     if precedes(o1, o2):
         return "lt"
     if precedes(o2, o1):

@@ -70,10 +70,8 @@ class EnvironmentTrace:
     universe: frozenset[str]
 
     def __post_init__(self):
-        if not isinstance(self.segments, tuple):
-            object.__setattr__(self, "segments", tuple(self.segments))
-        if not isinstance(self.universe, frozenset):
-            object.__setattr__(self, "universe", frozenset(self.universe))
+        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "universe", frozenset(self.universe))
         if not self.segments:
             raise ValueError("trace needs at least one segment")
         expected = 0

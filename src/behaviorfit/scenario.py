@@ -181,17 +181,18 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
     if scenario.predictor is not None:
         figures = capability_figures if capability_figures is not None else scenario.universe
         scenario.capability = Capability(figures, max_class, peers)
-    else:
-        for key, (lineno, _) in entries.items():
-            if key.startswith(("capability.", "peers.")):
-                raise ScenarioError(f"line {lineno}: {key}: only a controller reads it; set controller.predictor")
 
     def with_line(violation: str) -> str:
-        named = violation.split(":", 1)[0]  # a key, or the prefix of the keys under it
-        lines = [n for key, (n, _) in entries.items() if key == named or key.startswith(named + ".")]
-        return f"line {lines[0]}: {violation}" if lines else violation
+        named = violation.split(":", 1)[0]  # a key, or else the prefix of the keys under it
+        under = (n for key, (n, _) in entries.items() if key.startswith(named + "."))
+        lineno = entries[named][0] if named in entries else next(under, None)
+        return f"line {lineno}: {violation}" if lineno else violation
 
-    violations = validate_scenario(scenario)
+    violations = [
+        f"{key}: only a controller reads it; set controller.predictor"
+        for key in entries
+        if scenario.predictor is None and key.startswith(("capability.", "peers."))
+    ] + validate_scenario(scenario)
     if violations:
         raise ScenarioError("\n".join(map(with_line, violations)))
     return scenario

@@ -124,16 +124,16 @@ def scenario_trace(scenario: Scenario, seed: int | None = None) -> EnvironmentTr
     return generate_trace(spec, scenario.universe)
 
 
-def run_scenario(scenario: Scenario, *, seed: int | None = None) -> RunReport:
+def run_scenario(scenario: Scenario) -> RunReport:
     """Simulate one scenario, one row per tick; deterministic for a fixed seed.
 
-    ``seed`` overrides the seed of a generated trace. Raises ScenarioError
-    if the scenario is invalid, refuses the seed, or its total cost overflows.
+    Raises ScenarioError if the scenario is invalid or its total cost
+    overflows.
     """
     violations = validate_scenario(scenario)
     if violations:
         raise ScenarioError("scenario is invalid:\n" + "\n".join(violations))
-    trace = scenario_trace(scenario, seed)
+    trace = scenario_trace(scenario)
     if scenario.sensors:
         run_segment = _sensor_segment(scenario)
     elif scenario.predictor is not None:

@@ -159,7 +159,9 @@ class TestGrammar:
 
     @pytest.mark.parametrize("text", ["ran", "pur{1,2,3,4}", "pro^2", "soc{}", "rea{x,y}"])
     def test_round_trip(self, text):
-        assert format_behavior(parse_behavior(text)) == text
+        behavior = parse_behavior(text)
+        assert format_behavior(behavior) == text
+        assert str(behavior) == text
 
     def test_format_sorts_figures(self):
         assert format_behavior(Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset("41"))) == "pur{1,4}"

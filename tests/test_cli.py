@@ -233,14 +233,23 @@ def test_runtime_error_exit_code(scenario_file, capsys):
     capsys.readouterr()
 
 
-def test_emit_trace_round_trips_through_a_fixed_trace_run(scenario_file, tmp_path, capsys):
+def test_emit_trace_round_trips_through_a_fixed_trace_run(scenario_file, tmp_path, capsys, monkeypatch):
     trace_out = tmp_path / "used.trace"
     out1 = tmp_path / "gen.csv"
+    draws = []
+    generate = behaviorfit.simulate.generate_trace
+
+    def counted(*args):
+        draws.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(behaviorfit.simulate, "generate_trace", counted)
     code = main(
         ["run", "--scenario", str(scenario_file), "--seed", "5",
          "--out", str(out1), "--emit-trace", str(trace_out)]
     )
     assert code == 0
+    assert len(draws) == 1  # the written trace is the one the run used, not a second draw
     fixed = tmp_path / "fixed.scenario"
     fixed.write_text(
         "universe = 1,2,3,4\n"

@@ -43,7 +43,9 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("text", [C1_TEXT, C2_TEXT, "(none, none, none, none, none)"])
     def test_round_trip(self, text):
-        assert format_class(parse_class(text)) == text
+        c = parse_class(text)
+        assert format_class(c) == text
+        assert str(c) == text
 
     def test_format_empty(self):
         assert format_class(CyberneticClass()) == "(none, none, none, none, none)"

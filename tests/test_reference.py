@@ -11,6 +11,7 @@ repeat of its idle step, is checked here.
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ workloads = _bench_module("workloads")
 
 def _check(scenario, seed: int) -> None:
     expected = replay(scenario, seed)
-    report = run_scenario(scenario, seed=seed)
+    report = run_scenario(replace(scenario, trace=scenario_trace(scenario, seed), turbulence=None))
     assert report == expected
     assert render_csv(report) == render_csv(expected)
     assert render_json(report) == render_json(expected)

@@ -136,6 +136,17 @@ class TestParse:
             ("capability.max_class = xyz\n", "line 1: capability.max_class: unknown behavior class 'xyz'"),
             ("universe =\n", "line 1: universe: must not be empty"),
             ("turbulence.seed = 1\nturbulence.class_walk = nan\n", r"line 2: turbulence: class_walk must be in \[0, 1\], got nan"),
+            # a violation names its own key's line, not that of a longer key
+            # under it that an id with dots makes
+            (
+                "universe = 1,2\nturbulence.seed = 1\n\n# sensors\nsensors.m.1 = {1} 1.0\nsensors.m = {9} 1.0\n",
+                r"^line 6: sensors\.m: figures \['9'\] outside universe$",
+            ),
+            (
+                "universe = 1,2\nturbulence.seed = 1\ncontroller.predictor = persistence\n"
+                "peers.p.figures.figures = 1\npeers.p.figures = 9\n",
+                r"^line 5: peers\.p\.figures: figures \['9'\] outside universe$",
+            ),
         ],
     )
     def test_parse_errors_name_the_line(self, text, match):
@@ -217,7 +228,7 @@ class TestValidate:
     @pytest.mark.parametrize("system", ["", "sensors.m1 = {1} 1.0\n"], ids=["static", "sensors"])
     def test_capability_and_peers_need_a_controller(self, system):
         # only a controller reads them, so without one they are refused,
-        # naming the first such line, instead of being silently ignored
+        # naming each such line, instead of being silently ignored
         text = (
             "universe = 1,2\nturbulence.seed = 1\n" + system
             + "peers.p.figures = 2\ncapability.max_class = rea\n"
@@ -234,6 +245,19 @@ class TestValidate:
                 parse_scenario(with_controller)
         else:
             assert parse_scenario(with_controller).capability.peer_figures == {"p": frozenset("2")}
+
+    def test_refused_keys_are_listed_with_the_other_violations(self):
+        text = (
+            "universe = 1,2\nturbulence.seed = 1\nsystem.behavior = pur{1}\n"
+            "capability.figures = 1\npeers.p.figures = 2\ncritical = 9\n"
+        )
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value).splitlines() == [
+            "line 4: capability.figures: only a controller reads it; set controller.predictor",
+            "line 5: peers.p.figures: only a controller reads it; set controller.predictor",
+            "line 6: critical: figures ['9'] outside universe",
+        ]
 
     def test_capability_defaults_to_universe(self):
         s = parse_scenario(
