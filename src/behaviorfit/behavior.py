@@ -51,13 +51,8 @@ class BehaviorClass(IntEnum):
     SOCIAL = 5
 
 
-_CLASS_TOKEN = {
-    BehaviorClass.RANDOM: "ran",
-    BehaviorClass.PURPOSEFUL: "pur",
-    BehaviorClass.REACTIVE: "rea",
-    BehaviorClass.PROACTIVE: "pro",
-    BehaviorClass.SOCIAL: "soc",
-}
+# A class's token is the first three letters of its name: ran, pur, rea, pro, soc.
+_CLASS_TOKEN = {cls: cls.name[:3].lower() for cls in BehaviorClass}
 _TOKEN_CLASS = {token: cls for cls, token in _CLASS_TOKEN.items()}
 
 _FIGURE_RE = re.compile(r"^[A-Za-z0-9_.-]+$")

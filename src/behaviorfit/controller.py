@@ -141,13 +141,10 @@ def predict(
     if isinstance(predictor, Persistence):
         return history[-1]
     window = list(history)[-predictor.window:]
-    votes: Counter[str] = Counter()
-    for obs in window:
-        votes.update(obs.figures or ())
+    votes = Counter(f for obs in window for f in obs.figures or ())
     figures = frozenset(f for f, n in votes.items() if 2 * n >= len(window))
-    class_counts = Counter(obs.klass for obs in window)
-    top = max(class_counts.values())
-    klass = next(obs.klass for obs in reversed(window) if class_counts[obs.klass] == top)
+    # counted newest first, so the first class with the top count is the most recent
+    klass = Counter(obs.klass for obs in reversed(window)).most_common(1)[0][0]
     return Behavior(klass, figures=figures)
 
 
@@ -254,9 +251,9 @@ def plan_adaptation(
         if fig in capability.universe:
             actions.append(EnableFigure(fig))
             continue
-        lenders = sorted(p for p, figs in capability.peer_figures.items() if fig in figs)
-        if lenders:
-            actions.append(BorrowFigure(lenders[0], fig))
+        lender = min((p for p, figs in capability.peer_figures.items() if fig in figs), default=None)
+        if lender is not None:
+            actions.append(BorrowFigure(lender, fig))
     borrowed_by_figure = {
         fig: peer for peer, figs in sorted(state.borrowed.items()) for fig in figs
     }

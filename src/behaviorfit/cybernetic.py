@@ -8,6 +8,7 @@ knowledge. Any organ may be absent. Textual form is a parenthesized
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -96,23 +97,6 @@ def dominates(c1: CyberneticClass, c2: CyberneticClass) -> Dominance:
     return Dominance.EQUAL
 
 
-def _split_organs(inner: str) -> list[str]:
-    # Top-level commas only; figure sets inside braces carry their own.
-    parts, depth, current = [], 0, []
-    for ch in inner:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def parse_class(text: str) -> CyberneticClass:
     """Parse a 5-tuple such as ``(pur, pro^1, pur, pur, none)``.
 
@@ -122,7 +106,8 @@ def parse_class(text: str) -> CyberneticClass:
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise BehaviorSyntaxError(f"class tuple must be parenthesized: {text!r}")
-    parts = _split_organs(s[1:-1])
+    # top-level commas only: a comma inside a figure set has a '}' ahead of any '{'
+    parts = re.split(r",(?![^{}]*})", s[1:-1])
     if len(parts) != len(ORGAN_NAMES):
         raise BehaviorSyntaxError(
             f"class tuple needs {len(ORGAN_NAMES)} organs, got {len(parts)}: {text!r}"

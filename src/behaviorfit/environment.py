@@ -185,7 +185,7 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
         t += length
         if rng.random() < spec.class_walk:
             delta = -1 if rng.random() < 0.5 else 1
-            klass = BehaviorClass(min(5, max(1, klass + delta)))
+            klass = BehaviorClass(min(BehaviorClass.SOCIAL, max(BehaviorClass.RANDOM, klass + delta)))
         for f in ordered:
             if rng.random() < spec.figure_flip:
                 figures.symmetric_difference_update({f})

@@ -24,8 +24,8 @@ A fixed trace can be given instead of turbulence (``trace.file = path``,
 resolved relative to the scenario file). Sensor scenarios replace the
 controller keys with ``sensors.<id> = {figs} cost`` lines and an optional
 ``critical = {figs}`` set; a scenario may use a controller or sensors,
-not both. The ``capability.*`` and ``peers.*`` keys need
-``controller.predictor``.
+not both. The ``capability.*`` and ``peers.*`` keys and a non-zero
+``controller.weight`` need ``controller.predictor``; sensors take no ``costs.*``.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
         entries[key] = (lineno, value)
 
     turbulence: dict[str, float | int] = {}
-    turbulence_line = 0
     peers: dict[str, frozenset[str]] = {}
     capability_figures: frozenset[str] | None = None
     max_class = BehaviorClass.SOCIAL
@@ -132,7 +131,6 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
                 scenario.trace = parse_trace(path.read_text())
             elif key in _TURBULENCE_KEYS:
                 turbulence[key.removeprefix("turbulence.")] = _TURBULENCE_KEYS[key](value)
-                turbulence_line = lineno
             elif key == "system.behavior":
                 scenario.initial_behavior = parse_behavior(value)
             elif key == "system.class":
@@ -176,7 +174,14 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
                 raise ValueError("turbulence needs a seed")
             scenario.turbulence = TurbulenceSpec(**turbulence)  # type: ignore[arg-type]
         except ValueError as exc:
-            raise ScenarioError(f"line {turbulence_line}: turbulence: {exc}") from None
+            # a rule's message starts with its field; the horizon rule is about
+            # mean_segment_len if the horizon is a default, a missing seed about
+            # the first turbulence key
+            field = str(exc).split()[0]
+            if field not in turbulence:
+                field = "mean_segment_len" if field == "horizon" else next(iter(turbulence))
+            lineno = entries[f"turbulence.{field}"][0]
+            raise ScenarioError(f"line {lineno}: turbulence: {exc}") from None
 
     if scenario.predictor is not None:
         figures = capability_figures if capability_figures is not None else scenario.universe
@@ -245,4 +250,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         violations.append("controller.predictor: a controller and a sensor inventory are mutually exclusive")
     if not 0 <= s.weight < math.inf:
         violations.append("controller.weight: must be finite and non-negative")
+    elif s.weight and s.predictor is None:
+        violations.append("controller.weight: only a controller reads it; set controller.predictor")
+    if s.sensors and s.costs != CostModel():
+        violations.append("costs: a sensor run prices only its sensors' energy")
     return violations

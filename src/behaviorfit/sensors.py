@@ -79,7 +79,9 @@ def select_sensors(
     newly-covered-figures-per-energy ratio (ties to the lower id) until
     the required coverage is met or no sensor can still contribute. The
     result covers the requirement whenever any subset of sensors does;
-    unreachable figures are left uncovered (best effort).
+    unreachable figures are left uncovered (best effort). Sensor ids must
+    be unique, as ``validate_scenario`` demands: a chosen sensor is skipped
+    only because its coverage has left the requirement.
     """
     remaining = set(required_coverage(active, critical, mode))
     chosen: set[str] = set()
@@ -88,8 +90,6 @@ def select_sensors(
         best = None
         best_gain = 0
         for sensor in candidates:
-            if sensor.id in chosen:
-                continue
             gain = len(sensor.coverage & remaining)
             if gain == 0:
                 continue

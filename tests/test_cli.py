@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,9 @@ import pytest
 
 import behaviorfit
 from behaviorfit.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLES = ROOT / "scenarios"
 
 TURBULENT = """
 universe = 1,2,3,4
@@ -185,6 +190,26 @@ def test_negative_cost_weight_is_a_validation_failure(capsys):
     assert "controller.weight" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "fig2", "--cost-weight", "0.3"],
+        ["sweep", "--scenario", str(SAMPLES / "sensors.scenario"), "--seeds", "1..2", "--cost-weight", "2"],
+    ],
+    ids=["demo", "sweep"],
+)
+def test_cost_weight_without_a_controller_is_a_validation_failure(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "controller.weight: only a controller reads it; set controller.predictor" in captured.err
+
+
+def test_a_zero_cost_weight_without_a_controller_runs(capsys):
+    assert main(["run", "--scenario", str(SAMPLES / "sensors.scenario"), "--cost-weight", "0"]) == 0
+    assert main(["demo", "fig2", "--cost-weight", "0"]) == 0
+
+
 def test_cost_overflow_writes_nothing(tmp_path, capsys):
     path = tmp_path / "overflow.scenario"
     path.write_text(TURBULENT + "costs.figure = 1e308\ncosts.switch = 1e308\n")
@@ -274,3 +299,20 @@ def test_console_entry_point(scenario_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,env_behavior")
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``behaviorfit`` lines of the ``sh`` block under README's ``## CLI``."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("behaviorfit ")]
+    if not lines:
+        raise ValueError("README.md has no behaviorfit lines under ## CLI")
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(line, tmp_path, monkeypatch, capsys):
+    shutil.copytree(SAMPLES, tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line, comments=True)[1:]) == 0, capsys.readouterr().err

@@ -1,9 +1,9 @@
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behaviorfit import (
@@ -413,3 +413,36 @@ def test_history_holds_only_the_predictor_window(predictor, window):
     for t in range(trace.horizon):
         state = controller.step(state, trace.behavior_at(t)).state
     assert list(controller.history) == [trace.behavior_at(t) for t in range(trace.horizon - window, trace.horizon)]
+
+
+def _majority_by_loop_and_scan(window_size, history):
+    """``predict``'s majority rule as it was first written: a per-figure
+    vote loop, then a scan from the newest observation for the first class
+    holding the top count."""
+    window = list(history)[-window_size:]
+    votes = Counter()
+    for obs in window:
+        votes.update(obs.figures or ())
+    figures = frozenset(f for f, n in votes.items() if 2 * n >= len(window))
+    class_counts = Counter(obs.klass for obs in window)
+    top = max(class_counts.values())
+    klass = next(obs.klass for obs in reversed(window) if class_counts[obs.klass] == top)
+    return Behavior(klass, figures=figures)
+
+
+# Three classes and three figures, so windows often tie on both.
+_tied_observations = st.builds(
+    Behavior,
+    st.sampled_from([BehaviorClass.PURPOSEFUL, BehaviorClass.REACTIVE, BehaviorClass.PROACTIVE]),
+    figures=st.frozensets(st.sampled_from("123")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.lists(_tied_observations, min_size=1, max_size=10))
+@example(2, [b("rea{1}"), b("pur{2}")])
+@example(4, [b("pro{1}"), b("rea{1,2}"), b("pur{2}"), b("rea{}"), b("pur{3}")])
+def test_window_majority_matches_the_loop_and_scan(window_size, history):
+    expected = _majority_by_loop_and_scan(window_size, history)
+    assert predict(WindowMajority(window_size), history) == expected
+    assert predict(WindowMajority(window_size), deque(history, maxlen=window_size)) == expected

@@ -1,7 +1,7 @@
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from behaviorfit import (
@@ -10,10 +10,12 @@ from behaviorfit import (
     Dominance,
     compare_organs,
     dominates,
+    format_behavior,
     format_class,
     parse_class,
     parse_behavior as b,
 )
+from conftest import behaviors
 
 C1_TEXT = "(pur, pro^1, pur, pur, none)"
 C2_TEXT = "(pur, pro^2, pur, pur, pur)"
@@ -113,3 +115,65 @@ def test_dominance_antisymmetry(c1, c2):
 def test_dominance_transitivity(c1, c2, c3):
     if dominates(c1, c2) is Dominance.SECOND and dominates(c2, c3) is Dominance.SECOND:
         assert dominates(c1, c3) is Dominance.SECOND
+
+
+def _split_at_depth_zero(inner):
+    """``parse_class``'s organ split as it was first written: a scan that
+    splits at commas outside braces."""
+    parts, depth, current = [], 0, []
+    for ch in inner:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
+
+
+def _parse_by_depth_scan(text):
+    parts = _split_at_depth_zero(text.strip()[1:-1])
+    assert len(parts) == 5
+    return CyberneticClass(*(None if p.strip() == "none" else b(p.strip()) for p in parts))
+
+
+# An organ's text: ``none`` or a behavior term, which often names a figure
+# set, with or without a space before it and after its inner commas.
+_organ_terms = st.tuples(
+    st.sampled_from(["", " "]),
+    st.one_of(st.just("none"), behaviors(figures=("1", "2", "a", "b_c")).map(format_behavior)),
+    st.sampled_from([",", ", "]),
+).map(lambda parts: parts[0] + parts[1].replace(",", parts[2]))
+_separators = st.sampled_from([",", ", ", " , "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_class_splits_like_the_depth_scan(data):
+    terms = data.draw(st.lists(_organ_terms, min_size=5, max_size=5))
+    text = "(" + data.draw(_separators).join(terms) + ")"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # generated monitor/execute organs may be non-purposeful
+        assert parse_class(text) == _parse_by_depth_scan(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_malformed_tuples_still_raise(data):
+    terms = data.draw(st.lists(_organ_terms, min_size=4, max_size=6))
+    text = "(" + data.draw(_separators).join(terms) + ")"
+    if len(terms) == 5:  # unbalance the braces: drop one, or open one before the first organ
+        braces = [i for i, ch in enumerate(text) if ch in "{}"]
+        if braces:
+            i = data.draw(st.sampled_from(braces))
+            text = text[:i] + text[i + 1:]
+        else:
+            text = "({" + text[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(BehaviorSyntaxError):
+            parse_class(text)

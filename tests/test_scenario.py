@@ -8,6 +8,7 @@ import pytest
 from behaviorfit import (
     BehaviorClass,
     Capability,
+    CostModel,
     Persistence,
     Scenario,
     ScenarioError,
@@ -147,6 +148,20 @@ class TestParse:
                 "peers.p.figures.figures = 1\npeers.p.figures = 9\n",
                 r"^line 5: peers\.p\.figures: figures \['9'\] outside universe$",
             ),
+            # a turbulence error names the line of the key it is about, not
+            # that of the last turbulence key
+            (
+                "universe = 1\nturbulence.seed = 1\nturbulence.class_walk = 2\nturbulence.horizon = 100\n",
+                r"^line 3: turbulence: class_walk must be in \[0, 1\], got 2\.0$",
+            ),
+            (
+                "turbulence.seed = 1\nturbulence.horizon = 5\nturbulence.figure_flip = 0.5\n",
+                "^line 2: turbulence: horizon must be at least mean_segment_len$",
+            ),
+            (
+                "turbulence.seed = 1\nturbulence.mean_segment_len = 200\nturbulence.figure_flip = 0.5\n",
+                "^line 2: turbulence: horizon must be at least mean_segment_len$",
+            ),
         ],
     )
     def test_parse_errors_name_the_line(self, text, match):
@@ -202,6 +217,39 @@ class TestValidate:
         assert validate_scenario(s) == [violation]
         with pytest.raises(ScenarioError, match=re.escape(violation)):
             run_scenario(s)
+
+    @pytest.mark.parametrize(
+        "text,violation",
+        [
+            (
+                "controller.weight = 7\n",
+                "line 4: controller.weight: only a controller reads it; set controller.predictor",
+            ),
+            (
+                "system.behavior = pur{}\nsensors.a = {1} 1.0\ncosts.switch = 0\ncosts.figure = 5\n",
+                "line 6: costs: a sensor run prices only its sensors' energy",
+            ),
+        ],
+        ids=["weight-without-controller", "costs-with-sensors"],
+    )
+    def test_settings_no_run_reads_are_refused(self, text, violation):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(violation)}$"):
+            parse_scenario("universe = 1\nturbulence.seed = 1\n\n" + text)
+
+    def test_a_zero_weight_or_default_costs_are_no_setting(self):
+        parse_scenario("universe = 1\nturbulence.seed = 1\ncontroller.weight = 0\n")
+        parse_scenario("universe = 1\nturbulence.seed = 1\ncosts.figure = 0\nsensors.a = {1} 1.0\n")
+
+    def test_code_built_settings_no_run_reads_are_refused(self):
+        static = replace(fig2_scenario(), weight=0.3)
+        assert validate_scenario(static) == [
+            "controller.weight: only a controller reads it; set controller.predictor"
+        ]
+        sensors = load_scenario(SAMPLES / "sensors.scenario")
+        priced = replace(sensors, costs=CostModel(figure_cost=5.0))
+        assert validate_scenario(priced) == ["costs: a sensor run prices only its sensors' energy"]
+        with pytest.raises(ScenarioError, match="costs: a sensor run"):
+            run_scenario(priced)
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_weight_must_be_finite(self, weight):

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behaviorfit import (
@@ -163,3 +163,49 @@ class TestSensorNode:
     def test_rejects_non_finite_energy_cost(self, cost):
         with pytest.raises(ValueError, match="expected a finite positive energy cost"):
             SensorNode("x", frozenset("1"), cost)
+
+
+def _greedy_with_chosen_skip(active, sensors, mode, critical):
+    """``select_sensors`` as it was first written, which also skipped a
+    sensor once chosen."""
+    remaining = set(required_coverage(active, critical, mode))
+    chosen = set()
+    candidates = sorted(sensors, key=lambda s: s.id)
+    while remaining:
+        best = None
+        best_gain = 0
+        for sensor in candidates:
+            if sensor.id in chosen:
+                continue
+            gain = len(sensor.coverage & remaining)
+            if gain == 0:
+                continue
+            if best is None or gain * best.energy_cost > best_gain * sensor.energy_cost:
+                best, best_gain = sensor, gain
+        if best is None:
+            break
+        chosen.add(best.id)
+        remaining -= best.coverage
+    return chosen
+
+
+_FIGS = "abcdef"
+# Few distinct costs, so gain-per-energy ties between sensors are common.
+_inventories = st.lists(
+    st.tuples(st.frozensets(st.sampled_from(_FIGS), min_size=1), st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+    max_size=8,
+).map(lambda specs: [SensorNode(f"s{i}", cov, cost) for i, (cov, cost) in enumerate(specs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.frozensets(st.sampled_from(_FIGS)),
+    _inventories,
+    st.floats(0.0, 1.0),
+    st.frozensets(st.sampled_from(_FIGS)),
+)
+@example(frozenset("ab"), [SensorNode("s1", "ab", 2.0), SensorNode("s0", "a", 1.0)], 1.0, frozenset())
+def test_greedy_matches_the_loop_with_a_chosen_skip(active, sensors, level, critical):
+    mode = OperativeMode(level)
+    expected = _greedy_with_chosen_skip(active, sensors, mode, critical)
+    assert select_sensors(active, sensors, mode, critical) == expected
