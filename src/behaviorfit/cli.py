@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_overrides(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--fit-variant", choices=["linear", "quadratic"], default=None,
+            "--fit-variant", choices=[v.value for v in FitVariant], default=None,
             help="fit shape (default: scenario setting, linear)",
         )
         p.add_argument(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Mapping, Sequence
 
 from .behavior import Behavior, BehaviorClass
@@ -67,9 +67,9 @@ class CostModel:
     switch_cost: float = 0.0
 
     def __post_init__(self):
-        for name in ("figure_cost", "borrow_cost", "class_cost", "switch_cost"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"expected a finite non-negative {name}")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"expected a finite non-negative {f.name}")
 
 
 @dataclass(frozen=True)

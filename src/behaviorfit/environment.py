@@ -166,10 +166,10 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
     Draw order is fixed: first one uniform per figure (lexicographic
     order, inclusion at probability one half) for the initial set; then
     per segment one uniform for the length (geometric with the configured
-    mean, truncated at the horizon), one uniform for the lazy class walk
-    (and one more for its +/-1 direction, clamped to the class range),
-    and one uniform per figure for membership flips. The first segment
-    starts purposeful.
+    mean, truncated at the horizon; none at mean 1, where every segment
+    lasts one tick), one uniform for the lazy class walk (and one more
+    for its +/-1 direction, clamped to the class range), and one uniform
+    per figure for membership flips. The first segment starts purposeful.
     """
     universe = frozenset(universe)
     rng = SplitMix64(spec.seed)

@@ -25,13 +25,15 @@ resolved relative to the scenario file). Sensor scenarios replace the
 controller keys with ``sensors.<id> = {figs} cost`` lines and an optional
 ``critical = {figs}`` set; a scenario may use a controller or sensors,
 not both. The ``capability.*`` and ``peers.*`` keys and a non-zero
-``controller.weight`` need ``controller.predictor``; sensors take no ``costs.*``.
+``controller.weight``, ``costs.borrow`` or ``costs.switch`` need
+``controller.predictor``; sensors take no ``costs.*`` and no
+``system.behavior`` but the unset ``pur{}``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .behavior import _FIGURE_RE, _TOKEN_CLASS, Behavior, BehaviorClass, parse_behavior, parse_figures
@@ -48,6 +50,10 @@ class ScenarioError(ValueError):
     """Raised for malformed scenario input or failed validation."""
 
 
+_UNSET_BEHAVIOR = Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset())
+_CONTROLLER_ONLY = "only a controller reads it; set controller.predictor"
+
+
 @dataclass
 class Scenario:
     """One simulation run. ``cybernetic_class`` is parsed and checked, but
@@ -57,9 +63,7 @@ class Scenario:
     universe: frozenset[str]
     trace: EnvironmentTrace | None = None
     turbulence: TurbulenceSpec | None = None
-    initial_behavior: Behavior = field(
-        default_factory=lambda: Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset())
-    )
+    initial_behavior: Behavior = _UNSET_BEHAVIOR
     cybernetic_class: CyberneticClass | None = None
     predictor: Predictor | None = None
     weight: float = 0.0
@@ -90,7 +94,6 @@ def _parse_predictor(value: str) -> Predictor:
     raise ValueError(f"unknown predictor {value!r}")
 
 
-_COST_KEYS = {"figure": "figure_cost", "borrow": "borrow_cost", "class": "class_cost", "switch": "switch_cost"}
 _TURBULENCE_KEYS = {
     "turbulence.seed": int,
     "turbulence.class_walk": float,
@@ -115,9 +118,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
         entries[key] = (lineno, value)
 
     turbulence: dict[str, float | int] = {}
-    peers: dict[str, frozenset[str]] = {}
-    capability_figures: frozenset[str] | None = None
-    max_class = BehaviorClass.SOCIAL
+    capability: dict = {}  # Capability's keyword arguments; its universe defaults to the scenario's
     scenario = Scenario(name=name, universe=frozenset())
 
     for key, (lineno, value) in entries.items():
@@ -140,18 +141,19 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
             elif key == "controller.weight":
                 scenario.weight = float(value)
             elif key.startswith("costs."):
-                cost = _COST_KEYS.get(key.removeprefix("costs."))
-                if cost is None:
+                cost = key.removeprefix("costs.") + "_cost"
+                if cost not in {f.name for f in fields(CostModel)}:
                     raise ValueError(f"unknown cost {key!r}")
                 scenario.costs = replace(scenario.costs, **{cost: float(value)})
             elif key == "capability.figures":
-                capability_figures = parse_figures(value)
+                capability["universe"] = parse_figures(value)
             elif key == "capability.max_class":
                 if value not in _TOKEN_CLASS:
                     raise ValueError(f"unknown behavior class {value!r}")
-                max_class = _TOKEN_CLASS[value]
+                capability["max_class"] = _TOKEN_CLASS[value]
             elif key.startswith("peers.") and key.endswith(".figures"):
-                peers[_id(key[len("peers."):-len(".figures")])] = parse_figures(value)
+                peer = _id(key[len("peers."):-len(".figures")])
+                capability.setdefault("peer_figures", {})[peer] = parse_figures(value)
             elif key.startswith("sensors."):
                 parts = value.rsplit(None, 1)
                 if len(parts) != 2:
@@ -184,8 +186,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
             raise ScenarioError(f"line {lineno}: turbulence: {exc}") from None
 
     if scenario.predictor is not None:
-        figures = capability_figures if capability_figures is not None else scenario.universe
-        scenario.capability = Capability(figures, max_class, peers)
+        scenario.capability = Capability(**{"universe": scenario.universe, **capability})
 
     def with_line(violation: str) -> str:
         named = violation.split(":", 1)[0]  # a key, or else the prefix of the keys under it
@@ -194,7 +195,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
         return f"line {lineno}: {violation}" if lineno else violation
 
     violations = [
-        f"{key}: only a controller reads it; set controller.predictor"
+        f"{key}: {_CONTROLLER_ONLY}"
         for key in entries
         if scenario.predictor is None and key.startswith(("capability.", "peers."))
     ] + validate_scenario(scenario)
@@ -227,6 +228,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         violations.append("trace: exactly one of a trace and a turbulence spec must be given")
     if s.trace is not None:
         inside_universe("trace", s.trace.universe)
+    if s.sensors and s.initial_behavior != _UNSET_BEHAVIOR:
+        violations.append("system.behavior: a sensor run's behavior is what its active sensors cover")
     if s.initial_behavior.figures is None:
         violations.append("system.behavior: must name its figures")
     else:
@@ -245,13 +248,18 @@ def validate_scenario(s: Scenario) -> list[str]:
     if s.predictor is not None and s.capability is None:
         violations.append("controller.predictor: a controller needs a capability")
     if s.capability is not None and s.predictor is None:
-        violations.append("capability: only a controller reads it; set controller.predictor")
+        violations.append(f"capability: {_CONTROLLER_ONLY}")
     if s.predictor is not None and s.sensors:
         violations.append("controller.predictor: a controller and a sensor inventory are mutually exclusive")
     if not 0 <= s.weight < math.inf:
         violations.append("controller.weight: must be finite and non-negative")
     elif s.weight and s.predictor is None:
-        violations.append("controller.weight: only a controller reads it; set controller.predictor")
+        violations.append(f"controller.weight: {_CONTROLLER_ONLY}")
     if s.sensors and s.costs != CostModel():
         violations.append("costs: a sensor run prices only its sensors' energy")
+    elif s.predictor is None and not s.sensors:
+        # a static system never borrows or acts
+        for key, cost in (("borrow", s.costs.borrow_cost), ("switch", s.costs.switch_cost)):
+            if cost:
+                violations.append(f"costs.{key}: {_CONTROLLER_ONLY}")
     return violations

@@ -105,7 +105,7 @@ def _summarize(rows: list[TickRow]) -> RunSummary:
         ticks=len(rows),
         mean_finite_fit=math.fsum(finite) / len(finite) if finite else 0.0,
         neg_inf_ticks=len(rows) - len(finite),
-        total_cost=rows[-1].cum_cost if rows else 0.0,
+        total_cost=rows[-1].cum_cost,
     )
 
 

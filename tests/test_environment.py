@@ -115,6 +115,18 @@ class TestGenerateTrace:
         golden = (DATA / "golden_trace_seed42.txt").read_text()
         assert format_trace(generate_trace(TurbulenceSpec(seed=42), UNIVERSE)) == golden
 
+    @pytest.mark.parametrize("mean, draws", [(1, 17), (2, 14)])
+    def test_draw_order(self, monkeypatch, mean, draws):
+        # one draw per figure for the initial set, then per segment one for
+        # the length (none at mean 1), one for the class walk and one per
+        # figure for flips; the walk never moves, so draws no direction
+        calls = []
+        random = SplitMix64.random
+        monkeypatch.setattr(SplitMix64, "random", lambda rng: calls.append(1) or random(rng))
+        spec = TurbulenceSpec(seed=3, class_walk=0, figure_flip=0, mean_segment_len=mean, horizon=5)
+        segments = len(generate_trace(spec, frozenset("ab")).segments)
+        assert len(calls) == draws == 2 + segments * (3 + (mean > 1))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TurbulenceSpec(seed=1, class_walk=1.5)

@@ -92,6 +92,7 @@ def scenario_entries(draw, odd_names: bool = False) -> dict[str, str]:
         entries["capability.max_class"] = draw(st.sampled_from(CLASS_TOKENS))
         entries[f"peers.{name('peer', 'p')}.figures"] = _figures(draw(subsets))
     elif kind == "sensors":
+        del entries["system.behavior"]  # a sensor run's behavior is what its active sensors cover
         for sensor in range(draw(st.integers(1, 3))):
             coverage = draw(st.frozensets(st.sampled_from(universe), min_size=1))
             sensor_id = f"s{sensor}" if sensor else name("sensor", "s0")

@@ -71,6 +71,11 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     assert cli_output(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
+def test_golden_files_are_exactly_the_cases():
+    # a renamed or dropped case must not leave a stale golden file that looks tested
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
+
+
 @pytest.mark.parametrize("label", PREDICTORS)
 def test_controller_golden_exercises_borrows_classes_and_mode(label):
     text = (GOLDEN / f"controller-{label}.csv").read_text()

@@ -23,6 +23,7 @@ from behaviorfit import (
     validate_scenario,
     parse_behavior as b,
 )
+from behaviorfit.cli import main
 
 SAMPLES = Path(__file__).parent.parent / "scenarios"
 
@@ -239,6 +240,43 @@ class TestValidate:
     def test_a_zero_weight_or_default_costs_are_no_setting(self):
         parse_scenario("universe = 1\nturbulence.seed = 1\ncontroller.weight = 0\n")
         parse_scenario("universe = 1\nturbulence.seed = 1\ncosts.figure = 0\nsensors.a = {1} 1.0\n")
+
+    @pytest.mark.parametrize(
+        "kind, key, value, default, change, rule",
+        [
+            (
+                "sensors.a = {1} 1.0\n", "system.behavior", "soc{1}", "pur{}",
+                {"initial_behavior": b("soc{1}")}, "a sensor run's behavior is what its active sensors cover",
+            ),
+            (
+                "system.behavior = pur{1}\n", "costs.borrow", "7", "0",
+                {"costs": CostModel(borrow_cost=7.0)}, "only a controller reads it; set controller.predictor",
+            ),
+            (
+                "system.behavior = pur{1}\n", "costs.switch", "5", "0",
+                {"costs": CostModel(switch_cost=5.0)}, "only a controller reads it; set controller.predictor",
+            ),
+        ],
+        ids=["behavior-beside-sensors", "borrow-on-static", "switch-on-static"],
+    )
+    def test_settings_a_kind_of_run_does_not_read_are_refused(
+        self, tmp_path, capsys, kind, key, value, default, change, rule
+    ):
+        def text(setting: str) -> str:
+            return "universe = 1\nturbulence.seed = 1\n\n" + setting + "critical = {1}\n" + kind
+
+        # from a file, the run exits 1 naming the key's own line
+        path = tmp_path / "refused.scenario"
+        path.write_text(text(f"{key} = {value}\n"))
+        assert main(["run", "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: line 4: {key}: {rule}\n")
+        # from code, validation and the run refuse it alike
+        scenario = replace(parse_scenario(text("")), **change)
+        assert validate_scenario(scenario) == [f"{key}: {rule}"]
+        with pytest.raises(ScenarioError, match=re.escape(f"{key}: {rule}")):
+            run_scenario(scenario)
+        # the default is no setting
+        assert parse_scenario(text(f"{key} = {default}\n")) == parse_scenario(text(""))
 
     def test_code_built_settings_no_run_reads_are_refused(self):
         static = replace(fig2_scenario(), weight=0.3)

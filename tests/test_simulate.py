@@ -189,8 +189,9 @@ class TestPerSegmentEvaluation:
 
     TEXT = (
         "universe = 1,2,3\nturbulence.seed = 7\nturbulence.mean_segment_len = 4\n"
-        "turbulence.horizon = 200\nsystem.behavior = pur{1,2}\n"
+        "turbulence.horizon = 200\n"
     )
+    STATIC = "system.behavior = pur{1,2}\n"
     SENSORS = "sensors.a = {1,2} 1.0\nsensors.b = {3} 2.0\ncritical = {3}\n"
 
     @pytest.mark.parametrize("kind", ["static", "sensors"])
@@ -208,7 +209,7 @@ class TestPerSegmentEvaluation:
 
         counting("supply")
         counting("select_sensors")
-        scenario = parse_scenario(self.TEXT + (self.SENSORS if kind == "sensors" else ""))
+        scenario = parse_scenario(self.TEXT + (self.SENSORS if kind == "sensors" else self.STATIC))
         segments = scenario_trace(scenario).segments
         report = run_scenario(scenario)
         assert len(report.rows) == 200 > len(segments) > 1
