@@ -178,7 +178,7 @@ def parse_behavior(text: str) -> Behavior:
         return Behavior(klass)
     if rest.startswith("^"):
         digits = rest[1:].strip()
-        if not digits.isdigit() or int(digits) < 1:
+        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
             raise BehaviorSyntaxError(f"bad arity in {text!r}")
         return Behavior(klass, arity=int(digits))
     if rest.startswith("{") and rest.endswith("}"):

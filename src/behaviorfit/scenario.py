@@ -11,7 +11,6 @@ simulation run. ``#`` starts a comment. Example::
     turbulence.mean_segment_len = 10
     turbulence.horizon = 100
     system.behavior = pur{1,2,3,4}
-    system.class = (pur, pro^1, pur, pur, none)
     controller.predictor = persistence
     controller.weight = 0.1
     costs.figure = 0.01
@@ -35,10 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .behavior import _FIGURE_RE, _TOKEN_CLASS, Behavior, BehaviorClass, parse_behavior, parse_figures
 from .controller import Capability, CostModel, Oracle, Persistence, Predictor, WindowMajority
-from .cybernetic import CyberneticClass, parse_class
 from .environment import EnvironmentTrace, TurbulenceSpec, parse_trace
 from .metrics import FitVariant
 from .sensors import SensorNode
@@ -56,15 +55,13 @@ _CONTROLLER_ONLY = "only a controller reads it; set controller.predictor"
 
 @dataclass
 class Scenario:
-    """One simulation run. ``cybernetic_class`` is parsed and checked, but
-    no run reads it: it describes the system's organs and drives nothing."""
+    """One simulation run."""
 
     name: str
     universe: frozenset[str]
     trace: EnvironmentTrace | None = None
     turbulence: TurbulenceSpec | None = None
     initial_behavior: Behavior = _UNSET_BEHAVIOR
-    cybernetic_class: CyberneticClass | None = None
     predictor: Predictor | None = None
     weight: float = 0.0
     capability: Capability | None = None
@@ -88,19 +85,13 @@ def _parse_predictor(value: str) -> Predictor:
         return Oracle()
     if value.startswith("majority:"):
         window = value.split(":", 1)[1]
-        if not window.isdigit():
+        if not (window.isascii() and window.isdigit()):
             raise ValueError(f"majority window must be an integer, got {window!r}")
         return WindowMajority(int(window))
     raise ValueError(f"unknown predictor {value!r}")
 
 
-_TURBULENCE_KEYS = {
-    "turbulence.seed": int,
-    "turbulence.class_walk": float,
-    "turbulence.figure_flip": float,
-    "turbulence.mean_segment_len": int,
-    "turbulence.horizon": int,
-}
+_TURBULENCE_KEYS = {f"turbulence.{knob}": kind for knob, kind in get_type_hints(TurbulenceSpec).items()}
 
 
 def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario") -> Scenario:
@@ -128,14 +119,11 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
             elif key == "universe":
                 scenario.universe = parse_figures(value)
             elif key == "trace.file":
-                path = Path(base_dir) / value
-                scenario.trace = parse_trace(path.read_text())
+                scenario.trace = parse_trace(_read_utf8(Path(base_dir) / value))
             elif key in _TURBULENCE_KEYS:
                 turbulence[key.removeprefix("turbulence.")] = _TURBULENCE_KEYS[key](value)
             elif key == "system.behavior":
                 scenario.initial_behavior = parse_behavior(value)
-            elif key == "system.class":
-                scenario.cybernetic_class = parse_class(value)
             elif key == "controller.predictor":
                 scenario.predictor = _parse_predictor(value)
             elif key == "controller.weight":
@@ -204,9 +192,20 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
     return scenario
 
 
+def _read_utf8(path: Path) -> str:
+    """A file's text; a byte that is not UTF-8 is a ScenarioError naming its
+    line, numbered as the parsers' ``splitlines`` numbers it."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())  # "." stands in for the bad byte
+        raise ScenarioError(f"line {lineno}: not UTF-8 text") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    return parse_scenario(path.read_text(), base_dir=path.parent, name=path.stem)
+    return parse_scenario(_read_utf8(path), base_dir=path.parent, name=path.stem)
 
 
 def validate_scenario(s: Scenario) -> list[str]:

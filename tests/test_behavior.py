@@ -130,7 +130,9 @@ class TestGrammar:
         assert parse_behavior(text) == expected
 
     @pytest.mark.parametrize(
-        "text", ["xyz", "pur{1", "pro^0", "pro^-1", "pur{a b}", "pur{1,}", "pur{,1}", "random", "pur 4", ""]
+        "text",
+        # "²" and "١" are digits to str.isdigit but not ASCII digits
+        ["xyz", "pur{1", "pro^0", "pro^-1", "pro^²", "pro^١", "pur{a b}", "pur{1,}", "pur{,1}", "random", "pur 4", ""],
     )
     def test_parse_errors(self, text):
         with pytest.raises(BehaviorSyntaxError):

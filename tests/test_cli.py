@@ -138,6 +138,29 @@ def test_bad_names_fail_naming_the_line_and_key(tmp_path, capsys, scenario, trac
     assert named in captured.err
 
 
+@pytest.mark.parametrize(
+    "scenario,trace,error",
+    [
+        (b"universe = 1\n\n# caf\xe9\n", GOOD_TRACE.encode(), "error: line 3: not UTF-8 text\n"),
+        (b"universe = 1\n", b"universe: 1,2\n0 5 pur{1}\n# caf\xe9\n", "error: line 2: trace.file: line 3: not UTF-8 text\n"),
+        # lines are numbered as the parser numbers them, a lone "\r" included
+        (b"universe = 1\r# caf\xe9\r", GOOD_TRACE.encode(), "error: line 2: not UTF-8 text\n"),
+    ],
+)
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, scenario, trace, error):
+    (tmp_path / "t.trace").write_bytes(trace)
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(scenario + b"trace.file = t.trace\n")
+    for verb in ("run", "validate"):
+        assert main([verb, "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", error)
+
+
+def test_a_missing_scenario_file_is_a_bad_argument(tmp_path, capsys):
+    assert main(["run", "--scenario", str(tmp_path / "missing.scenario")]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
 def test_sweep(scenario_file, capsys):
     assert main(["sweep", "--scenario", str(scenario_file), "--seeds", "3..6"]) == 0
     lines = capsys.readouterr().out.splitlines()

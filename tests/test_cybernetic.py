@@ -39,6 +39,15 @@ class TestParseFormat:
         with pytest.raises(BehaviorSyntaxError, match="organ analyze"):
             parse_class("(pur, xyz, pur, pur, none)")
 
+    def test_non_ascii_arity_names_slot(self):
+        with pytest.raises(BehaviorSyntaxError, match=r"^organ analyze: bad arity in 'pro\^²'$"):
+            parse_class("(pur, pro^², pur, pur, none)")
+
+    @pytest.mark.parametrize("text", ["pur, pur, pur, pur, pur", "(pur, pur, pur, pur, pur", "pur, pur, pur, pur, pur)"])
+    def test_tuple_must_be_parenthesized(self, text):
+        with pytest.raises(BehaviorSyntaxError, match="^class tuple must be parenthesized: "):
+            parse_class(text)
+
     def test_figure_sets_inside_tuple(self):
         c = parse_class("(pur{1,2}, none, none, none, none)")
         assert c.monitor == b("pur{1,2}")

@@ -44,7 +44,6 @@ EXTRA_LINES = (
     "peers.p.figures = 1,9",
     "capability.max_class = ran",
     "fit.variant = quadratic",
-    "system.class = (pur, pro^1, pur, pur, none)",
     "no equals sign",
     "bogus.key = 1",
 )

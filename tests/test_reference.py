@@ -12,11 +12,9 @@ this file makes of the reference's report.
 """
 
 import csv
-import importlib.util
 import io
 import json
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,19 +32,12 @@ from behaviorfit import (
     run_scenario,
     scenario_trace,
 )
+from conftest import bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
-
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-replay = _bench_module("reference").replay
-workloads = _bench_module("workloads")
+replay = bench_module("reference").replay
+workloads = bench_module("workloads")
 
 
 # The CSV and JSON renderers and the behavior grammar as they stood when

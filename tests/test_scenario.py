@@ -36,7 +36,6 @@ turbulence.figure_flip = 0.2
 turbulence.mean_segment_len = 5
 turbulence.horizon = 40
 system.behavior = pur{1,2,3,4}
-system.class = (pur, pro^1, pur, pur, none)
 controller.predictor = majority:3
 controller.weight = 0.25
 costs.figure = 0.01
@@ -58,7 +57,6 @@ class TestParse:
         assert s.turbulence.seed == 42
         assert s.turbulence.horizon == 40
         assert s.initial_behavior == b("pur{1,2,3,4}")
-        assert s.cybernetic_class.analyze == b("pro^1")
         assert s.predictor == WindowMajority(3)
         assert s.weight == 0.25
         assert s.costs.switch_cost == 0.5
@@ -132,7 +130,9 @@ class TestParse:
             ("turbulence.wind = 1\n", "unknown key 'turbulence.wind'"),
             ("turbulence.seed = 1\nname = x\nturbulence.horizon = 5\n", "line 3: turbulence: horizon must be"),
             ("controller.predictor = majority:0\n", "controller.predictor: window must be >= 1, got 0"),
-            ("system.class = pur, pur, pur, pur, pur\n", "system.class: class tuple must be parenthesized"),
+            # the organ tuple is a library comparison (parse_class), not a key
+            ("system.class = (pur, pro^1, pur, pur, none)\n", r"^line 1: system\.class: unknown key 'system\.class'$"),
+            ("controller.predictor = majority:²\n", "^line 1: controller.predictor: majority window must be an integer, got '²'$"),
             ("turbulence.seed = 1\nturbulence.figure_flip = 1.5\n", r"line 2: turbulence: figure_flip must be in \[0, 1\]"),
             ("turbulence.seed = 1\nturbulence.mean_segment_len = 0\n", "line 2: turbulence: mean_segment_len must be >= 1"),
             ("capability.max_class = xyz\n", "line 1: capability.max_class: unknown behavior class 'xyz'"),
