@@ -201,6 +201,14 @@ def parse_figures(text: str) -> frozenset[str]:
     return frozenset(figures)
 
 
+def _ascii_number(text: str, kind: type[int] | type[float] = float) -> int | float:
+    """``kind(text)`` for a number written in ASCII without ``_``: ``int``
+    and ``float`` alone also read any Unicode digit and ``_`` separators."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected an ASCII number, got {text!r}")
+    return kind(text)
+
+
 def format_behavior(b: Behavior) -> str:
     """Canonical text for a behavior; round-trips through parse_behavior."""
     token = _CLASS_TOKEN[b.klass]

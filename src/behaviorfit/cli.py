@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .behavior import _ascii_number
 from .environment import format_trace
 from .metrics import FitVariant
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -21,12 +22,20 @@ __all__ = ["main"]
 def _seed_range(text: str) -> range:
     try:
         first, _, last = text.partition("..")
-        seeds = range(int(first), int(last) + 1)
+        seeds = range(_ascii_number(first, int), _ascii_number(last, int) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}: A must not exceed B")
     return seeds
+
+
+def _ascii(kind: type[int] | type[float]):
+    """An argparse type: ``kind`` of a number written in ASCII without ``_``."""
+    def convert(text: str) -> int | float:
+        return _ascii_number(text, kind)
+    convert.__name__ = kind.__name__  # argparse names the type in its error
+    return convert
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="fit shape (default: scenario setting, linear)",
         )
         p.add_argument(
-            "--cost-weight", type=float, default=None,
+            "--cost-weight", type=_ascii(float), default=None,
             help="cost penalty weight (default: scenario setting, 0)",
         )
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p_run = sub.add_parser("run", help="simulate a scenario file")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--seed", type=int, default=None, help="override the trace seed")
+    p_run.add_argument("--seed", type=_ascii(int), default=None, help="override the trace seed")
     add_overrides(p_run)
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
     p_run.add_argument(

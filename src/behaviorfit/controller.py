@@ -74,28 +74,24 @@ class CostModel:
 
 @dataclass(frozen=True)
 class SystemState:
-    """System behavior plus which of its figures are borrowed from whom."""
+    """System behavior plus ``borrowed``, which maps each borrowed figure
+    to the peer that lent it."""
 
     behavior: Behavior
-    borrowed: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    borrowed: Mapping[str, str] = field(default_factory=dict)
     cum_cost: float = 0.0
 
     def __post_init__(self):
         if self.behavior.figures is None:
             raise ValueError("system behavior must name its figures")
-        borrowed = {p: frozenset(figs) for p, figs in self.borrowed.items() if figs}
-        object.__setattr__(self, "borrowed", borrowed)
-        stray = self.borrowed_figures - self.behavior.figures
+        object.__setattr__(self, "borrowed", dict(self.borrowed))
+        stray = self.borrowed.keys() - self.behavior.figures
         if stray:
             raise ValueError(f"borrowed figures missing from behavior scope: {sorted(stray)}")
 
     @property
-    def borrowed_figures(self) -> frozenset[str]:
-        return frozenset().union(*self.borrowed.values())
-
-    @property
     def local_figures(self) -> frozenset[str]:
-        return self.behavior.figures - self.borrowed_figures
+        return self.behavior.figures.difference(self.borrowed)
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ def tick_cost(state: SystemState, costs: CostModel) -> float:
     """Operating cost of holding the state for one tick."""
     return (
         costs.figure_cost * len(state.local_figures)
-        + costs.borrow_cost * len(state.borrowed_figures)
+        + costs.borrow_cost * len(state.borrowed)
         + costs.class_cost * state.behavior.klass
     )
 
@@ -204,7 +200,7 @@ def apply_actions(
 ) -> SystemState:
     """New state after applying the actions atomically; cum_cost unchanged."""
     local = set(state.local_figures)
-    borrowed = {p: set(figs) for p, figs in state.borrowed.items()}
+    borrowed = dict(state.borrowed)
     klass = state.behavior.klass
     for action in actions:
         if isinstance(action, EnableFigure):
@@ -216,12 +212,13 @@ def apply_actions(
         elif isinstance(action, BorrowFigure):
             if action.figure not in capability.peer_figures.get(action.peer, frozenset()):
                 raise ValueError(f"peer {action.peer!r} does not lend figure {action.figure!r}")
-            borrowed.setdefault(action.peer, set()).add(action.figure)
+            borrowed[action.figure] = action.peer
         elif isinstance(action, ReturnFigure):
-            borrowed.get(action.peer, set()).discard(action.figure)
+            if borrowed.get(action.figure) == action.peer:
+                del borrowed[action.figure]
         else:
             klass = action.klass
-    figures = frozenset(local).union(*borrowed.values())
+    figures = frozenset(local).union(borrowed)
     return SystemState(Behavior(klass, figures=figures), borrowed, state.cum_cost)
 
 
@@ -254,11 +251,8 @@ def plan_adaptation(
         lender = min((p for p, figs in capability.peer_figures.items() if fig in figs), default=None)
         if lender is not None:
             actions.append(BorrowFigure(lender, fig))
-    borrowed_by_figure = {
-        fig: peer for peer, figs in sorted(state.borrowed.items()) for fig in figs
-    }
     for fig in sorted(current - target):
-        peer = borrowed_by_figure.get(fig)
+        peer = state.borrowed.get(fig)
         if peer is not None:
             actions.append(ReturnFigure(peer, fig))
         else:

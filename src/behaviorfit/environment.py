@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .behavior import Behavior, BehaviorClass, format_behavior, parse_behavior, parse_figures
+from .behavior import Behavior, BehaviorClass, _ascii_number, format_behavior, parse_behavior, parse_figures
 
 __all__ = [
     "EnvironmentTrace",
@@ -213,7 +213,8 @@ def parse_trace(text: str) -> EnvironmentTrace:
                 fields = line.split(None, 2)
                 if len(fields) != 3:
                     raise ValueError(f"expected 'start duration behavior', got {raw!r}")
-                segment = Segment(int(fields[0]), int(fields[1]), parse_behavior(fields[2]))
+                start, duration = (_ascii_number(n, int) for n in fields[:2])
+                segment = Segment(start, duration, parse_behavior(fields[2]))
                 _check_next_segment(segment, segments[-1].end if segments else 0, universe)
                 segments.append(segment)
         except ValueError as exc:

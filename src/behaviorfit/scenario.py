@@ -31,12 +31,15 @@ not both. The ``capability.*`` and ``peers.*`` keys and a non-zero
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .behavior import _FIGURE_RE, _TOKEN_CLASS, Behavior, BehaviorClass, parse_behavior, parse_figures
+from .behavior import (
+    _FIGURE_RE, _TOKEN_CLASS, _ascii_number, Behavior, BehaviorClass, parse_behavior, parse_figures,
+)
 from .controller import Capability, CostModel, Oracle, Persistence, Predictor, WindowMajority
 from .environment import EnvironmentTrace, TurbulenceSpec, parse_trace
 from .metrics import FitVariant
@@ -121,18 +124,18 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
             elif key == "trace.file":
                 scenario.trace = parse_trace(_read_utf8(Path(base_dir) / value))
             elif key in _TURBULENCE_KEYS:
-                turbulence[key.removeprefix("turbulence.")] = _TURBULENCE_KEYS[key](value)
+                turbulence[key.removeprefix("turbulence.")] = _ascii_number(value, _TURBULENCE_KEYS[key])
             elif key == "system.behavior":
                 scenario.initial_behavior = parse_behavior(value)
             elif key == "controller.predictor":
                 scenario.predictor = _parse_predictor(value)
             elif key == "controller.weight":
-                scenario.weight = float(value)
+                scenario.weight = _ascii_number(value)
             elif key.startswith("costs."):
                 cost = key.removeprefix("costs.") + "_cost"
                 if cost not in {f.name for f in fields(CostModel)}:
                     raise ValueError(f"unknown cost {key!r}")
-                scenario.costs = replace(scenario.costs, **{cost: float(value)})
+                scenario.costs = replace(scenario.costs, **{cost: _ascii_number(value)})
             elif key == "capability.figures":
                 capability["universe"] = parse_figures(value)
             elif key == "capability.max_class":
@@ -147,7 +150,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
                 if len(parts) != 2:
                     raise ValueError("expected '{figures} cost'")
                 sensor_id = _id(key.removeprefix("sensors."))
-                sensor = SensorNode(sensor_id, parse_figures(parts[0]), float(parts[1]))
+                sensor = SensorNode(sensor_id, parse_figures(parts[0]), _ascii_number(parts[1]))
                 scenario.sensors += (sensor,)
             elif key == "critical":
                 scenario.critical = parse_figures(value)
@@ -194,8 +197,9 @@ def parse_scenario(text: str, base_dir: str | Path = ".", name: str = "scenario"
 
 def _read_utf8(path: Path) -> str:
     """A file's text; a byte that is not UTF-8 is a ScenarioError naming its
-    line, numbered as the parsers' ``splitlines`` numbers it."""
-    data = path.read_bytes()
+    line, numbered as the parsers' ``splitlines`` numbers it. A leading
+    byte-order mark is skipped."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

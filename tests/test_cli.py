@@ -156,6 +156,76 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, scenario, tra
         assert capsys.readouterr() == ("", error)
 
 
+@pytest.mark.parametrize(
+    "scenario,trace,error",
+    [
+        ("turbulence.seed = ١_2\n", "", "line 2: turbulence.seed: expected an ASCII number, got '١_2'"),
+        ("turbulence.seed = 1\nturbulence.horizon = ١٠٠\n", "", "line 3: turbulence.horizon: expected an ASCII number, got '١٠٠'"),
+        ("turbulence.seed = 1\nturbulence.class_walk = ٠.٥\n", "", "line 3: turbulence.class_walk: expected an ASCII number, got '٠.٥'"),
+        ("turbulence.seed = 1\ncosts.figure = 1_0\n", "", "line 3: costs.figure: expected an ASCII number, got '1_0'"),
+        ("trace.file = t.trace\nsensors.a = {1} ١\n", GOOD_TRACE, "line 3: sensors.a: expected an ASCII number, got '١'"),
+        ("trace.file = t.trace\n", "universe: 1\n٠ ３ pur{1}\n", "line 2: trace.file: line 2: expected an ASCII number, got '٠'"),
+    ],
+    ids=["seed", "horizon", "class_walk", "costs", "sensor-cost", "trace-segment"],
+)
+def test_numbers_in_files_must_be_ascii(tmp_path, capsys, scenario, trace, error):
+    (tmp_path / "t.trace").write_text(trace)
+    path = tmp_path / "bad.scenario"
+    path.write_text("universe = 1\n" + scenario)
+    for verb in ("run", "validate"):
+        assert main([verb, "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["run", "--seed", "١"], "argument --seed: invalid int value: '١'"),
+        (["run", "--cost-weight", "٠"], "argument --cost-weight: invalid float value: '٠'"),
+        (["run", "--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+        (["sweep", "--seeds", "١..2"], "argument --seeds: expected A..B, got '١..2'"),
+    ],
+    ids=["seed", "cost-weight", "seed-underscore", "seeds"],
+)
+def test_numbers_in_flags_must_be_ascii(scenario_file, capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--scenario", str(scenario_file), *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+
+
+def test_ascii_numbers_in_flags_keep_every_form(scenario_file, capsys):
+    assert main(["run", "--scenario", str(scenario_file), "--seed", "+7", "--cost-weight", "1e-1"]) == 0
+    signed = capsys.readouterr().out
+    assert main(["run", "--scenario", str(scenario_file), "--seed", "7", "--cost-weight", "0.1"]) == 0
+    assert capsys.readouterr().out == signed
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("scenario_bom,trace_bom", [(True, False), (False, True)], ids=["scenario", "trace"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, scenario_bom, trace_bom):
+    text = b"name = bom\nuniverse = 1,2\ntrace.file = t.trace\n"
+    (tmp_path / "t.trace").write_bytes(_BOM * trace_bom + GOOD_TRACE.encode())
+    (tmp_path / "plain.scenario").write_bytes(text)
+    (tmp_path / "bom.scenario").write_bytes(_BOM * scenario_bom + text)
+    assert main(["run", "--scenario", str(tmp_path / "bom.scenario")]) == 0
+    with_bom = capsys.readouterr()
+    (tmp_path / "t.trace").write_text(GOOD_TRACE)
+    assert main(["run", "--scenario", str(tmp_path / "plain.scenario")]) == 0
+    assert with_bom == capsys.readouterr()
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(_BOM + b"universe = 1\n# caf\xe9\n")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: line 2: not UTF-8 text\n")
+
+
 def test_a_missing_scenario_file_is_a_bad_argument(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "missing.scenario")]) == 2
     assert "No such file" in capsys.readouterr().err

@@ -110,7 +110,7 @@ class TestPlanAdaptation:
         assert plan == [BorrowFigure("alpha", "2")]
 
     def test_returns_borrowed_surplus(self):
-        state = SystemState(b("pur{1,5}"), borrowed={"canary": frozenset("5")})
+        state = SystemState(b("pur{1,5}"), borrowed={"5": "canary"})
         cap = Capability(frozenset("1"), peer_figures={"canary": frozenset("5")})
         plan = plan_adaptation(state, b("pur{1}"), cap, CostModel(), 0.0)
         assert plan == [ReturnFigure("canary", "5")]
@@ -179,7 +179,7 @@ class TestApplyActions:
         actions = [EnableFigure("2"), BorrowFigure("p", "3"), SetClass(BehaviorClass.PROACTIVE)]
         out = apply_actions(state, actions, cap)
         assert out.behavior == b("pro{1,2,3}")
-        assert out.borrowed == {"p": frozenset("3")}
+        assert out.borrowed == {"3": "p"}
         assert out.local_figures == frozenset("12")
 
     def test_rejects_unavailable_figure(self):
@@ -198,11 +198,16 @@ class TestSystemState:
 
     def test_borrowed_must_be_in_scope(self):
         with pytest.raises(ValueError, match="borrowed"):
-            SystemState(b("pur{1}"), borrowed={"p": frozenset("2")})
+            SystemState(b("pur{1}"), borrowed={"2": "p"})
 
     def test_local_is_scope_minus_borrowed(self):
-        state = SystemState(b("pur{1,2}"), borrowed={"p": frozenset("2")})
+        state = SystemState(b("pur{1,2}"), borrowed={"2": "p"})
         assert state.local_figures == frozenset("1")
+
+    def test_a_peer_to_figures_mapping_is_refused(self):
+        # ``borrowed`` maps figure -> lender, so a peer id is a stray figure
+        with pytest.raises(ValueError, match=r"missing from behavior scope: \['canary'\]"):
+            SystemState(b("pur{1,5}"), borrowed={"canary": frozenset("5")})
 
 
 class TestControllerLoop:
@@ -273,8 +278,8 @@ class TestControllerLoop:
             env = fig2_trace().behavior_at(t)
             state = controller.step(state, env).state
             assert state.local_figures <= cap.universe
-            for peer, figs in state.borrowed.items():
-                assert figs <= cap.peer_figures[peer]
+            for fig, peer in state.borrowed.items():
+                assert fig in cap.peer_figures[peer]
 
     def test_borrowing_covers_the_missing_figure(self):
         cap = Capability(frozenset("1234"), peer_figures={"canary": frozenset("5")})
@@ -364,11 +369,14 @@ def test_steps_match_the_full_history_reference(run, pass_lookahead):
 
 @st.composite
 def states(draw, capability: Capability) -> SystemState:
-    """Any class, any local figures and, from each lending peer, any of the
-    figures it lends."""
-    borrowed = {peer: draw(st.frozensets(st.sampled_from(sorted(figs)))) if figs else frozenset()
-                for peer, figs in capability.peer_figures.items()}
-    figures = draw(figure_sets).union(*borrowed.values())
+    """Any class, any local figures and any of the lent figures, each
+    borrowed from one of the peers that lend it."""
+    lenders = {}
+    for peer, figs in sorted(capability.peer_figures.items()):
+        for fig in figs:
+            lenders.setdefault(fig, []).append(peer)
+    borrowed = draw(st.fixed_dictionaries({}, optional={f: st.sampled_from(p) for f, p in lenders.items()}))
+    figures = draw(figure_sets).union(borrowed)
     cum_cost = draw(st.floats(0.0, 100.0))
     return SystemState(Behavior(draw(st.sampled_from(list(BehaviorClass))), figures=figures), borrowed, cum_cost)
 
@@ -446,3 +454,131 @@ def test_window_majority_matches_the_loop_and_scan(window_size, history):
     expected = _majority_by_loop_and_scan(window_size, history)
     assert predict(WindowMajority(window_size), history) == expected
     assert predict(WindowMajority(window_size), deque(history, maxlen=window_size)) == expected
+
+
+# ``SystemState.borrowed`` once mapped each peer to the set of figures it
+# lent. The three functions below are the organs as they were written for
+# that shape, on a (behavior, peer -> figures) pair instead of a state.
+
+def _lent_figures(by_peer):
+    return frozenset().union(*by_peer.values())
+
+
+def _tick_cost_by_peer(behavior, by_peer, costs):
+    lent = _lent_figures(by_peer)
+    return (
+        costs.figure_cost * len(behavior.figures - lent)
+        + costs.borrow_cost * len(lent)
+        + costs.class_cost * behavior.klass
+    )
+
+
+def _apply_actions_by_peer(behavior, by_peer, actions, capability):
+    local = set(behavior.figures - _lent_figures(by_peer))
+    borrowed = {p: set(figs) for p, figs in by_peer.items()}
+    klass = behavior.klass
+    for action in actions:
+        if isinstance(action, EnableFigure):
+            local.add(action.figure)
+        elif isinstance(action, DisableFigure):
+            local.discard(action.figure)
+        elif isinstance(action, BorrowFigure):
+            borrowed.setdefault(action.peer, set()).add(action.figure)
+        elif isinstance(action, ReturnFigure):
+            borrowed.get(action.peer, set()).discard(action.figure)
+        else:
+            klass = action.klass
+    figures = frozenset(local).union(*borrowed.values())
+    return Behavior(klass, figures=figures), {p: frozenset(f) for p, f in borrowed.items() if f}
+
+
+def _plan_adaptation_by_peer(behavior, by_peer, predicted, capability, costs, weight, variant):
+    current, target = behavior.figures, predicted.figures
+    actions = []
+    for fig in sorted(target - current):
+        if fig in capability.universe:
+            actions.append(EnableFigure(fig))
+            continue
+        lender = min((p for p, figs in capability.peer_figures.items() if fig in figs), default=None)
+        if lender is not None:
+            actions.append(BorrowFigure(lender, fig))
+    borrowed_by_figure = {fig: peer for peer, figs in sorted(by_peer.items()) for fig in figs}
+    for fig in sorted(current - target):
+        peer = borrowed_by_figure.get(fig)
+        actions.append(ReturnFigure(peer, fig) if peer is not None else DisableFigure(fig))
+    target_class = min(predicted.klass, capability.max_class)
+    if target_class is not behavior.klass:
+        actions.append(SetClass(target_class))
+    if not actions:
+        return []
+    post, post_by_peer = _apply_actions_by_peer(behavior, by_peer, actions, capability)
+    idle = cost_adjusted_fit(
+        fit(supply(behavior, predicted), variant), _tick_cost_by_peer(behavior, by_peer, costs), weight
+    )
+    acted = cost_adjusted_fit(
+        fit(supply(post, predicted), variant),
+        _tick_cost_by_peer(post, post_by_peer, costs) + costs.switch_cost * len(actions),
+        weight,
+    )
+    return actions if acted > idle else []
+
+
+def _by_peer(borrowed):
+    """A figure -> lender mapping in the peer -> figures shape."""
+    by_peer = {}
+    for fig, peer in borrowed.items():
+        by_peer.setdefault(peer, set()).add(fig)
+    return {p: frozenset(figs) for p, figs in by_peer.items()}
+
+
+_classes = st.sampled_from(list(BehaviorClass))
+
+
+@st.composite
+def borrowing_cases(draw):
+    """A capability whose peers often lend the same figure, a state it can
+    reach, a prediction, and a list of valid actions that, as a run's plans
+    do, borrows only figures the state lacks and each from one lender."""
+    peers = draw(st.dictionaries(st.sampled_from("abc"), st.frozensets(st.sampled_from("345")), max_size=3))
+    capability = Capability(draw(figure_sets), draw(_classes), peers)
+    state = draw(states(capability))
+    predicted = Behavior(draw(_classes), figures=draw(figure_sets))
+    lenders = sorted({(f, p) for p, figs in peers.items() for f in figs if f not in state.behavior.figures})
+    borrows = [BorrowFigure(p, f) for f, p in draw(
+        st.lists(st.sampled_from(lenders), unique_by=lambda lend: lend[0]) if lenders else st.just([])
+    )]
+    others = st.one_of(
+        st.sampled_from(sorted(capability.universe)).map(EnableFigure) if capability.universe else st.nothing(),
+        st.sampled_from(sorted(FIGURES)).map(DisableFigure),
+        st.builds(ReturnFigure, st.sampled_from("abc"), st.sampled_from(sorted(FIGURES))),
+        _classes.map(SetClass),
+    )
+    actions = draw(st.permutations(borrows + draw(st.lists(others, max_size=6))))
+    costs = CostModel(draw(rates), draw(rates), draw(rates), draw(rates))
+    return capability, state, predicted, actions, costs, draw(st.floats(0.0, 1.0)), draw(st.sampled_from(list(FitVariant)))
+
+
+_two_lenders = Capability(frozenset("1"), peer_figures={"b": frozenset("5"), "a": frozenset("5")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(borrowing_cases())
+@example((  # a figure returned to a peer that did not lend it stays borrowed
+    _two_lenders, SystemState(b("pur{1,5}"), {"5": "a"}), b("pur{1,5}"),
+    [ReturnFigure("b", "5")], CostModel(borrow_cost=0.5), 0.0, FitVariant.LINEAR,
+))
+@example((  # two peers lend figure 5, and the lowest-id one lends it
+    _two_lenders, SystemState(b("pur{1}")), b("pur{1,5}"),
+    [BorrowFigure("a", "5")], CostModel(borrow_cost=0.5), 0.1, FitVariant.LINEAR,
+))
+def test_borrowing_matches_the_peer_to_figures_code(case):
+    capability, state, predicted, actions, costs, weight, variant = case
+    by_peer = _by_peer(state.borrowed)
+    assert tick_cost(state, costs) == _tick_cost_by_peer(state.behavior, by_peer, costs)
+    plan = plan_adaptation(state, predicted, capability, costs, weight, variant)
+    assert plan == _plan_adaptation_by_peer(state.behavior, by_peer, predicted, capability, costs, weight, variant)
+    for acts in (plan, actions):
+        post = apply_actions(state, acts, capability)
+        behavior, post_by_peer = _apply_actions_by_peer(state.behavior, by_peer, acts, capability)
+        assert (post.behavior, _by_peer(post.borrowed)) == (behavior, post_by_peer)
+        assert tick_cost(post, costs) == _tick_cost_by_peer(behavior, post_by_peer, costs)

@@ -89,6 +89,17 @@ class TestParse:
             SensorNode("m2", frozenset("3"), 0.5),
         )
 
+    def test_ascii_numbers_keep_signs_decimals_and_exponents(self):
+        s = parse_scenario(
+            "universe = 1\nturbulence.seed = +12\nturbulence.class_walk = 5E-1\nturbulence.figure_flip = .25\n"
+            "turbulence.mean_segment_len = 3\nturbulence.horizon = 30\nsystem.behavior = pur{1}\n"
+            "controller.predictor = persistence\ncontroller.weight = 1e-1\ncosts.figure = +0.5\n"
+        )
+        assert (s.turbulence.seed, s.turbulence.class_walk, s.turbulence.figure_flip) == (12, 0.5, 0.25)
+        assert (s.weight, s.costs.figure_cost) == (0.1, 0.5)
+        sensors = parse_scenario("universe = 1\nturbulence.seed = 1\nsensors.a = {1} 2.5e0\n")
+        assert sensors.sensors == (SensorNode("a", frozenset("1"), 2.5),)
+
     def test_comments_and_blanks(self):
         s = parse_scenario("# hello\n\nuniverse = 1\nturbulence.seed = 3\n")
         assert s.universe == frozenset("1")
