@@ -317,6 +317,11 @@ class Controller:
     def step(
         self, state: SystemState, observed_env: Behavior, oracle_next: Behavior | None = None
     ) -> StepResult:
+        """One tick of the loop; raises ValueError if the state holds a
+        figure from a peer that does not lend it."""
+        for figure, peer in state.borrowed.items():
+            if figure not in self.capability.peer_figures.get(peer, ()):
+                raise ValueError(f"peer {peer!r} does not lend figure {figure!r}")
         actions: list[AdaptationAction] = []
         if self.history or not self.predictor.window:
             prediction = predict(self.predictor, self.history, oracle_next or observed_env)

@@ -15,16 +15,23 @@ CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.
 Behaviors use the textual grammar, negative infinity is written ``-inf``,
 the actions cell joins action tokens with ``;`` and mode is empty unless
-the scenario defines sensors or critical figures.
+the scenario defines sensors or critical figures. JSON rows carry the same
+keys in the same order.
+
+The renderers format a row's behaviors, supply, fit, actions and mode once
+per run of consecutive rows that share those objects, which every segment's
+repeated rows do, and write only ``t``, ``cost`` and ``cum_cost`` per row.
+``render_json`` writes the text ``json.dumps(..., indent=2)`` would.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator
 
 from .behavior import Behavior, BehaviorClass, format_behavior
@@ -226,11 +233,14 @@ def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
     return run_segment
 
 
-def _row_fields(row: TickRow, fit_value: float | str, actions: str | list[str]) -> tuple:
-    """The row's values in ``CSV_COLUMNS`` order, with the fit and the
-    actions already in the renderer's form."""
-    return (row.t, format_behavior(row.env_behavior), format_behavior(row.sys_behavior),
-            row.supply.kind.value, row.supply.value, fit_value, actions, row.cost, row.cum_cost, row.mode)
+def _runs(rows: tuple[TickRow, ...]) -> Iterator[list[TickRow]]:
+    """Runs of consecutive rows whose behaviors, supply, fit, actions and
+    mode are the same objects, so what a renderer makes of them holds for
+    the whole run."""
+    for _, run in groupby(rows, lambda row: (
+        id(row.env_behavior), id(row.sys_behavior), id(row.supply), id(row.fit), id(row.actions), id(row.mode)
+    )):
+        yield list(run)
 
 
 def render_csv(report: RunReport) -> str:
@@ -239,19 +249,53 @@ def render_csv(report: RunReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(_row_fields(row, row.fit, ";".join(row.actions)) for row in report.rows)
+    for run in _runs(report.rows):
+        first = run[0]
+        shared = (format_behavior(first.env_behavior), format_behavior(first.sys_behavior),
+                  first.supply.kind.value, first.supply.value, first.fit, ";".join(first.actions))
+        writer.writerows((row.t, *shared, row.cost, row.cum_cost, first.mode) for row in run)
     return buffer.getvalue()
 
 
+def _json_value(value: str | int | float | None) -> str:
+    """A scalar as ``json.dumps`` writes it; a non-finite float, which it
+    would write as ``Infinity`` or ``NaN``, is refused."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot write {value!r} as a JSON number")
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
 def render_json(report: RunReport) -> str:
-    payload = {
-        "name": report.name,
-        "summary": asdict(report.summary),
-        "rows": [
-            dict(zip(CSV_COLUMNS, _row_fields(
-                row, "-inf" if row.fit == NEG_INFINITY else row.fit, list(row.actions)
-            )))
-            for row in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The report as ``json.dumps(..., indent=2)`` writes its name, summary
+    and rows (each row's keys in ``CSV_COLUMNS`` order, a fit of negative
+    infinity as ``"-inf"``), plus a newline."""
+    summary = ",\n".join(f'    "{key}": {_json_value(value)}' for key, value in asdict(report.summary).items())
+    rows = []
+    for run in _runs(report.rows):
+        first = run[0]
+        tokens = ",\n".join(f"        {_json_value(token)}" for token in first.actions)
+        actions = f"[\n{tokens}\n      ]" if tokens else "[]"
+        fit_value = "-inf" if first.fit == NEG_INFINITY else first.fit
+        middle = (
+            f',\n      "env_behavior": {_json_value(format_behavior(first.env_behavior))}'
+            f',\n      "sys_behavior": {_json_value(format_behavior(first.sys_behavior))}'
+            f',\n      "supply_kind": {_json_value(first.supply.kind.value)}'
+            f',\n      "supply": {_json_value(first.supply.value)}'
+            f',\n      "fit": {_json_value(fit_value)}'
+            f',\n      "actions": {actions}'
+            ',\n      "cost": '
+        )
+        tail = f',\n      "mode": {_json_value(first.mode)}\n    }}'
+        rows.extend(
+            f'    {{\n      "t": {row.t}{middle}{_json_value(row.cost)}'
+            f',\n      "cum_cost": {_json_value(row.cum_cost)}{tail}'
+            for row in run
+        )
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "name": {_json_value(report.name)},\n  "summary": {{\n{summary}\n  }},\n  "rows": {body}\n}}\n'

@@ -1,4 +1,8 @@
+import csv
 import importlib.util
+import io
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,3 +30,54 @@ def bench_module(name: str):
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# The CSV and JSON renderers and the behavior grammar as they stood when
+# they were frozen here, so a rewrite of the program's renderers is checked
+# against bytes that the program does not make itself.
+FROZEN_COLUMNS = (
+    "t", "env_behavior", "sys_behavior", "supply_kind", "supply", "fit", "actions", "cost", "cum_cost", "mode",
+)
+FROZEN_CLASS_TOKENS = {1: "ran", 2: "pur", 3: "rea", 4: "pro", 5: "soc"}
+
+
+def _frozen_behavior(behavior) -> str:
+    token = FROZEN_CLASS_TOKENS[behavior.klass]
+    if behavior.figures is not None:
+        return token + "{" + ",".join(sorted(behavior.figures)) + "}"
+    if behavior.arity is not None:
+        return f"{token}^{behavior.arity}"
+    return token
+
+
+def _frozen_fields(row, fit_value, actions) -> tuple:
+    return (row.t, _frozen_behavior(row.env_behavior), _frozen_behavior(row.sys_behavior),
+            row.supply.kind.value, row.supply.value, fit_value, actions, row.cost, row.cum_cost, row.mode)
+
+
+def frozen_csv(report) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(FROZEN_COLUMNS)
+    writer.writerows(_frozen_fields(row, row.fit, ";".join(row.actions)) for row in report.rows)
+    return buffer.getvalue()
+
+
+def frozen_json(report) -> str:
+    s = report.summary
+    payload = {
+        "name": report.name,
+        "summary": {
+            "ticks": s.ticks,
+            "mean_finite_fit": s.mean_finite_fit,
+            "neg_inf_ticks": s.neg_inf_ticks,
+            "total_cost": s.total_cost,
+        },
+        "rows": [
+            dict(zip(FROZEN_COLUMNS, _frozen_fields(
+                row, "-inf" if row.fit == -math.inf else row.fit, list(row.actions)
+            )))
+            for row in report.rows
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

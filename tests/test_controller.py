@@ -293,6 +293,17 @@ class TestControllerLoop:
             borrows.extend(a for a in result.actions if isinstance(a, BorrowFigure))
         assert BorrowFigure("canary", "5") in borrows
 
+    def test_step_refuses_a_figure_its_peer_does_not_lend(self):
+        # SystemState knows no peers, so it takes a peer -> figures mapping
+        # whose peer id is a figure in scope; the controller refuses it
+        cap = Capability(frozenset("1234"), peer_figures={"canary": frozenset("5")})
+        env = b("pur{1,5}")
+        with pytest.raises(ValueError, match=r"peer frozenset\(\{'1'\}\) does not lend figure '5'"):
+            Controller(cap).step(SystemState(b("pur{1,5}"), {"5": frozenset("1")}), env)
+        with pytest.raises(ValueError, match="peer 'other' does not lend figure '5'"):
+            Controller(cap).step(SystemState(b("pur{1,5}"), {"5": "other"}), env)
+        assert Controller(cap).step(SystemState(b("pur{1,5}"), {"5": "canary"}), env).fit == 1.0
+
     def test_action_tokens(self):
         assert format_action(EnableFigure("3")) == "enable:3"
         assert format_action(BorrowFigure("canary", "5")) == "borrow:canary:5"

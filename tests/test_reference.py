@@ -7,14 +7,10 @@ benchmark's workloads, for generated static, controller and sensor
 scenarios with short segments, and for generated controller scenarios
 with long ones, so per-segment work in the loop, and the controller's
 repeat of its idle step, is checked here. The program's CSV and JSON
-must also equal, byte for byte, what a copy of the renderers frozen in
-this file makes of the reference's report.
+must also equal, byte for byte, what the copy of the renderers frozen in
+``conftest.py`` makes of the reference's report.
 """
 
-import csv
-import io
-import json
-import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,63 +28,12 @@ from behaviorfit import (
     run_scenario,
     scenario_trace,
 )
-from conftest import bench_module
+from conftest import bench_module, frozen_csv, frozen_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
 replay = bench_module("reference").replay
 workloads = bench_module("workloads")
-
-
-# The CSV and JSON renderers and the behavior grammar as they stood when
-# they were frozen here, so a rewrite of the program's renderers is checked
-# against bytes that the program does not make itself.
-FROZEN_COLUMNS = (
-    "t", "env_behavior", "sys_behavior", "supply_kind", "supply", "fit", "actions", "cost", "cum_cost", "mode",
-)
-FROZEN_CLASS_TOKENS = {1: "ran", 2: "pur", 3: "rea", 4: "pro", 5: "soc"}
-
-
-def _frozen_behavior(behavior) -> str:
-    token = FROZEN_CLASS_TOKENS[behavior.klass]
-    if behavior.figures is not None:
-        return token + "{" + ",".join(sorted(behavior.figures)) + "}"
-    if behavior.arity is not None:
-        return f"{token}^{behavior.arity}"
-    return token
-
-
-def _frozen_fields(row, fit_value, actions) -> tuple:
-    return (row.t, _frozen_behavior(row.env_behavior), _frozen_behavior(row.sys_behavior),
-            row.supply.kind.value, row.supply.value, fit_value, actions, row.cost, row.cum_cost, row.mode)
-
-
-def _frozen_csv(report) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(FROZEN_COLUMNS)
-    writer.writerows(_frozen_fields(row, row.fit, ";".join(row.actions)) for row in report.rows)
-    return buffer.getvalue()
-
-
-def _frozen_json(report) -> str:
-    s = report.summary
-    payload = {
-        "name": report.name,
-        "summary": {
-            "ticks": s.ticks,
-            "mean_finite_fit": s.mean_finite_fit,
-            "neg_inf_ticks": s.neg_inf_ticks,
-            "total_cost": s.total_cost,
-        },
-        "rows": [
-            dict(zip(FROZEN_COLUMNS, _frozen_fields(
-                row, "-inf" if row.fit == -math.inf else row.fit, list(row.actions)
-            )))
-            for row in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _check(scenario, seed: int) -> None:
@@ -97,8 +42,8 @@ def _check(scenario, seed: int) -> None:
     assert report == expected
     assert render_csv(report) == render_csv(expected)
     assert render_json(report) == render_json(expected)
-    assert render_csv(report) == _frozen_csv(expected)
-    assert render_json(report) == _frozen_json(expected)
+    assert render_csv(report) == frozen_csv(expected)
+    assert render_json(report) == frozen_json(expected)
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.scenario")), ids=lambda p: p.stem)

@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import behaviorfit.simulate
 from behaviorfit import (
@@ -15,8 +17,12 @@ from behaviorfit import (
     FitVariant,
     Oracle,
     Persistence,
+    RunReport,
+    RunSummary,
     ScenarioError,
     SupplyKind,
+    SupplyReport,
+    TickRow,
     fig2_scenario,
     load_scenario,
     parse_scenario,
@@ -25,6 +31,7 @@ from behaviorfit import (
     run_scenario,
     scenario_trace,
 )
+from conftest import behaviors, frozen_csv, frozen_json
 
 LN3 = math.log(3)
 
@@ -314,3 +321,72 @@ class TestRendering:
         r3 = render_csv(run_scenario(seeded(101)))
         assert r1 == r2
         assert r1 != r3
+
+
+# Text that JSON escapes or CSV quotes: a quote, a backslash, a newline, a
+# comma and a semicolon, non-ASCII and astral characters.
+AWKWARD = ('say "hi"', "back\\slash", "two\nlines", "a,b;c", "café", "\U0001d11e clef", "")
+texts = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=6))
+# an int 0 next to floats, and floats whose repr has an exponent
+numbers = st.one_of(
+    st.sampled_from([0, 0.0, 1e-07, 1e16, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20),
+)
+
+
+def _twin(value):
+    """An object equal in value to ``value`` that is not the same object."""
+    if isinstance(value, float):
+        return float(repr(value))
+    if isinstance(value, tuple):
+        return tuple(list(value))
+    return value if value is None else replace(value)
+
+
+@st.composite
+def hand_built_reports(draw) -> RunReport:
+    """A report of up to five runs of rows: one to four ticks per run, whose
+    rows share one set of objects or carry equal twins of them, with any
+    costs."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        value = draw(numbers)
+        if value == 0:
+            kind = SupplyKind.PERFECT
+        elif value > 0:
+            kind = SupplyKind.OVERSUPPLY
+        else:
+            kind = draw(st.sampled_from([SupplyKind.UNDERSUPPLY, SupplyKind.INCOMPARABLE]))
+        shared = (
+            draw(behaviors(figures=AWKWARD)),
+            draw(behaviors(figures=AWKWARD)),
+            SupplyReport(value, kind),
+            draw(st.one_of(st.just(NEG_INFINITY), st.floats(allow_nan=False, allow_infinity=False))),
+            tuple(draw(st.lists(texts, max_size=3))),
+            draw(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))),
+        )
+        twins = draw(st.booleans())
+        for k in range(draw(st.integers(1, 4))):
+            env, sys_behavior, report, fit_value, actions, mode = map(_twin, shared) if twins and k else shared
+            rows.append(TickRow(
+                len(rows), env, sys_behavior, report, fit_value, actions, draw(numbers), draw(numbers), mode
+            ))
+    summary = RunSummary(len(rows), draw(numbers), draw(st.integers(0, len(rows))), draw(numbers))
+    return RunReport(draw(texts), tuple(rows), summary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_reports())
+def test_renderers_write_what_the_frozen_renderers_write(report):
+    assert render_csv(report) == frozen_csv(report)
+    assert render_json(report) == frozen_json(report)
+
+
+@pytest.mark.parametrize("field", ["fit", "cost", "cum_cost", "mode"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_json_refuses_a_number_it_would_write_as_infinity_or_nan(field, value):
+    report = run_scenario(fig2_scenario())
+    row = replace(report.rows[0], **{field: value})
+    with pytest.raises(ValueError, match="as a JSON number"):
+        render_json(replace(report, rows=(row,)))
