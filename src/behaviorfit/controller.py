@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain, repeat
 from typing import ClassVar, Mapping, Sequence
 
 from .behavior import Behavior, BehaviorClass
@@ -125,22 +126,37 @@ Predictor = Persistence | WindowMajority | Oracle
 
 
 def predict(
-    predictor: Predictor, history: Sequence[Behavior], oracle_next: Behavior | None = None
+    predictor: Predictor, runs: Sequence[tuple[Behavior, int]], oracle_next: Behavior | None = None
 ) -> Behavior:
-    """Predicted next environment behavior from past observations, oldest first."""
+    """Predicted next environment behavior from past observations, given
+    as ``(behavior, ticks)`` runs, oldest first; only the newest
+    ``predictor.window`` ticks are read. A window of one run predicts that
+    run's behavior, and in a majority vote a figure or class counts once
+    per tick of each run that holds it."""
     if not predictor.window:
         if oracle_next is None:
             raise ValueError("oracle predictor needs oracle_next")
         return oracle_next
-    if not history:
+    if not runs:
         raise ValueError("cannot predict from an empty history")
-    if isinstance(predictor, Persistence):
-        return history[-1]
-    window = list(history)[-predictor.window:]
-    votes = Counter(f for obs in window for f in obs.figures or ())
-    figures = frozenset(f for f, n in votes.items() if 2 * n >= len(window))
+    # the newest runs holding ``predictor.window`` ticks, newest first
+    window = []
+    left = predictor.window
+    for obs, n in reversed(runs):
+        window.append((obs, min(n, left)))
+        left -= n
+        if left <= 0:
+            break
+    if len(window) == 1:
+        return window[0][0]
+    votes = Counter(chain.from_iterable(chain.from_iterable(repeat(obs.figures or (), n) for obs, n in window)))
+    ticks = predictor.window - max(left, 0)
+    figures = frozenset(f for f, n in votes.items() if 2 * n >= ticks)
+    klasses: Counter[BehaviorClass] = Counter()
+    for obs, n in window:
+        klasses[obs.klass] += n
     # counted newest first, so the first class with the top count is the most recent
-    klass = Counter(obs.klass for obs in reversed(window)).most_common(1)[0][0]
+    klass = max(klasses, key=klasses.__getitem__)
     return Behavior(klass, figures=figures)
 
 
@@ -292,10 +308,17 @@ class Controller:
     is then scored against the just-observed environment, and finally the
     observation joins the history for the next tick. It logs nothing.
 
+    ``history`` holds the window as ``[behavior, ticks]`` runs of equal
+    consecutive observations, oldest first and at most ``window`` ticks in
+    all, so an observation that repeats the last one costs O(1).
+
     A plan depends only on the state's behavior and borrowings, the
     prediction and the controller's settings, so the controller remembers
     the last such inputs whose plan was empty and does not plan again
-    while they repeat.
+    while they repeat. Likewise it scores a tick again only when the new
+    state's behavior, the observation or the fit variant differs from the
+    last tick it scored, and otherwise returns that tick's supply report
+    and fit objects.
     """
 
     def __init__(
@@ -311,8 +334,10 @@ class Controller:
         self.predictor = predictor if predictor is not None else Persistence()
         self.weight = weight
         self.variant = variant
-        self.history: deque[Behavior] = deque(maxlen=self.predictor.window)
+        self.history: deque[list] = deque()
+        self._held = 0
         self._idle_inputs: tuple | None = None
+        self._scored: tuple = (None, None, None)
 
     def step(
         self, state: SystemState, observed_env: Behavior, oracle_next: Behavior | None = None
@@ -338,7 +363,27 @@ class Controller:
         new_state = apply_actions(state, actions, self.capability) if actions else state
         cost = tick_cost(new_state, self.costs) + self.costs.switch_cost * len(actions)
         new_state = replace(new_state, cum_cost=state.cum_cost + cost)
-        report = supply(new_state.behavior, observed_env)
-        fit_value = fit(report, self.variant)
-        self.history.append(observed_env)
+        scored = (new_state.behavior, observed_env, self.variant)
+        if scored != self._scored[0]:
+            report = supply(new_state.behavior, observed_env)
+            self._scored = (scored, report, fit(report, self.variant))
+        _, report, fit_value = self._scored
+        self._observe(observed_env)
         return StepResult(new_state, report, fit_value, tuple(actions))
+
+    def _observe(self, behavior: Behavior) -> None:
+        """Add one tick of ``behavior`` to the newest run, or start a run
+        with it, and trim the oldest tick beyond the window."""
+        if not self.predictor.window:
+            return
+        runs = self.history
+        if runs and runs[-1][0] == behavior:
+            runs[-1][1] += 1
+        else:
+            runs.append([behavior, 1])
+        if self._held < self.predictor.window:
+            self._held += 1
+        else:
+            runs[0][1] -= 1
+            if not runs[0][1]:
+                runs.popleft()

@@ -7,9 +7,12 @@ cost, cum_cost)``. There is one segment function per kind of run, a
 closure built once per run. A static system and greedy sensor selection
 face one environment behavior for a whole segment, so they score, select
 and price it once and repeat the same objects on every tick. The MAPE-K
-controller steps until its predictor's window holds only the segment's
+controller steps until its predictor's window is one run of the segment's
 behavior and a step leaves the state as it was; every later tick of the
-segment repeats that step's row.
+segment repeats that step's row. The controller scores a tick again only
+when the system behavior or the observation changes, so a step that keeps
+the last step's behavior within a segment returns that step's supply and
+fit objects too.
 
 CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -30,6 +31,12 @@ def bench_module(name: str):
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def runs_of(observations) -> list[tuple]:
+    """Observations, oldest first, as the ``(behavior, ticks)`` runs of
+    equal consecutive observations that ``predict`` reads."""
+    return [(obs, len(list(group))) for obs, group in groupby(observations)]
 
 
 # The CSV and JSON renderers and the behavior grammar as they stood when

@@ -1,6 +1,7 @@
 import math
 from collections import Counter, deque
 from dataclasses import replace
+from itertools import chain, pairwise, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,36 +38,38 @@ from behaviorfit import (
     parse_behavior as b,
 )
 
+from conftest import runs_of
+
 FULL_CAP = Capability(frozenset("12345"))
 
 
 class TestPredict:
     def test_persistence(self):
         history = [b("pur{2}"), b("pur{1,4}")]
-        assert predict(Persistence(), history) == b("pur{1,4}")
+        assert predict(Persistence(), runs_of(history)) == b("pur{1,4}")
 
     def test_persistence_needs_history(self):
         with pytest.raises(ValueError, match="empty history"):
-            predict(Persistence(), [])
+            predict(Persistence(), runs_of([]))
 
     def test_window_majority_votes_figures(self):
         history = [b("pur{1}"), b("pur{1,2}"), b("pur{1,2}")]
-        assert predict(WindowMajority(3), history) == b("pur{1,2}")
+        assert predict(WindowMajority(3), runs_of(history)) == b("pur{1,2}")
 
     def test_window_majority_includes_ties(self):
         history = [b("pur{1}"), b("pur{2}")]
-        assert predict(WindowMajority(2), history) == b("pur{1,2}")
+        assert predict(WindowMajority(2), runs_of(history)) == b("pur{1,2}")
 
     def test_window_majority_class_tie_is_most_recent(self):
         history = [b("rea{1}"), b("pur{1}"), b("rea{1}"), b("pur{1}")]
-        assert predict(WindowMajority(4), history).klass is BehaviorClass.PURPOSEFUL
+        assert predict(WindowMajority(4), runs_of(history)).klass is BehaviorClass.PURPOSEFUL
 
     def test_window_shorter_history(self):
         history = [b("pur{1}")]
-        assert predict(WindowMajority(5), history) == b("pur{1}")
+        assert predict(WindowMajority(5), runs_of(history)) == b("pur{1}")
 
     def test_any_sequence_of_observations(self):
-        history = deque([b("rea{1}"), b("pur{1}"), b("pur{2}")])
+        history = deque(runs_of([b("rea{1}"), b("pur{1}"), b("pur{2}")]))
         assert predict(WindowMajority(2), history) == b("pur{1,2}")
         assert predict(Persistence(), history) == b("pur{2}")
 
@@ -76,7 +79,7 @@ class TestPredict:
 
     def test_oracle_needs_next(self):
         with pytest.raises(ValueError, match="oracle"):
-            predict(Oracle(), [b("pur{1}")])
+            predict(Oracle(), runs_of([b("pur{1}")]))
 
 
 class TestPlanAdaptation:
@@ -310,13 +313,32 @@ class TestControllerLoop:
         assert format_action(SetClass(BehaviorClass.PROACTIVE)) == "class:proactive"
 
 
+def frozen_predict(predictor, history, oracle_next=None) -> Behavior:
+    """``predict`` as it stood when the controller kept one observation per
+    tick: it reads a sequence of observations, oldest first."""
+    if not predictor.window:
+        if oracle_next is None:
+            raise ValueError("oracle predictor needs oracle_next")
+        return oracle_next
+    if not history:
+        raise ValueError("cannot predict from an empty history")
+    if isinstance(predictor, Persistence):
+        return history[-1]
+    window = list(history)[-predictor.window:]
+    votes = Counter(f for obs in window for f in obs.figures or ())
+    figures = frozenset(f for f, n in votes.items() if 2 * n >= len(window))
+    klass = Counter(obs.klass for obs in reversed(window)).most_common(1)[0][0]
+    return Behavior(klass, figures=figures)
+
+
 def reference_step(state, history, env, capability, costs, predictor, weight, variant) -> StepResult:
     """Plain reference for one ``Controller.step`` from ``state``: it plans
-    on every call, from every observation in ``history``, recognises the
-    oracle by its type and gives it the incoming behavior as lookahead."""
+    on every call, from every observation in ``history`` (through the
+    per-tick ``frozen_predict``), recognises the oracle by its type and
+    gives it the incoming behavior as lookahead; it scores every tick."""
     actions = []
     if history or isinstance(predictor, Oracle):
-        prediction = predict(predictor, history, env)
+        prediction = frozen_predict(predictor, history, env)
         if prediction.figures is not None:
             actions = plan_adaptation(state, prediction, capability, costs, weight, variant)
     post = apply_actions(state, actions, capability)
@@ -364,6 +386,11 @@ def controller_runs(draw):
     )
 
 
+def _ticks(runs) -> list[Behavior]:
+    """The controller's runs expanded to one observation per tick."""
+    return list(chain.from_iterable(repeat(obs, ticks) for obs, ticks in runs))
+
+
 @settings(max_examples=300, deadline=None)
 @given(controller_runs(), st.booleans())
 def test_steps_match_the_full_history_reference(run, pass_lookahead):
@@ -374,7 +401,9 @@ def test_steps_match_the_full_history_reference(run, pass_lookahead):
         env = trace.behavior_at(t)
         result = controller.step(state, env, oracle_next=env) if pass_lookahead else controller.step(state, env)
         assert result == expected
-        assert len(controller.history) == min(t + 1, predictor.window)
+        assert len(_ticks(controller.history)) == min(t + 1, predictor.window)
+        assert all(ticks > 0 for _, ticks in controller.history)
+        assert all(older[0] != newer[0] for older, newer in pairwise(controller.history))
         state = result.state
 
 
@@ -424,6 +453,33 @@ def test_a_reassigned_weight_is_planned_with():
     assert controller.step(result.state, b("pur{1}")).actions == (DisableFigure("2"),)
 
 
+def test_a_reassigned_variant_is_scored_with():
+    # a switch cost too high for the weight keeps an oversupplying state,
+    # so two steps meet the same state and observation under two variants
+    controller = Controller(FULL_CAP, CostModel(switch_cost=100.0), Persistence(), weight=1.0)
+    env = b("pur{1}")
+    linear = controller.step(controller.step(SystemState(b("pur{1,2,3}")), env).state, env)
+    controller.variant = FitVariant.QUADRATIC
+    quadratic = controller.step(linear.state, env)
+    assert quadratic.actions == () and quadratic.state.behavior == linear.state.behavior
+    assert linear.fit == fit(linear.supply, FitVariant.LINEAR)
+    assert quadratic.fit == fit(linear.supply, FitVariant.QUADRATIC) != linear.fit
+
+
+def test_an_idle_tick_keeps_its_score_until_the_observation_changes():
+    controller = Controller(FULL_CAP, predictor=Persistence())
+    first = controller.step(SystemState(b("pur{1,2}")), b("pur{1,2}"))
+    idle = controller.step(first.state, b("pur{1,2}"))
+    assert idle.actions == ()
+    assert idle.supply is first.supply and idle.fit is first.fit
+    # persistence still predicts pur{1,2}, so this tick is idle too, but
+    # it is scored against the new observation
+    changed = controller.step(idle.state, b("pur{1}"))
+    assert changed.actions == ()
+    assert changed.supply is not idle.supply and changed.supply == supply(b("pur{1,2}"), b("pur{1}"))
+    assert changed.fit == fit(changed.supply)
+
+
 @pytest.mark.parametrize("predictor, window", [(Persistence(), 1), (Oracle(), 0), (WindowMajority(3), 3)])
 def test_history_holds_only_the_predictor_window(predictor, window):
     controller = Controller(FULL_CAP, predictor=predictor)
@@ -431,7 +487,7 @@ def test_history_holds_only_the_predictor_window(predictor, window):
     trace = fig2_trace()
     for t in range(trace.horizon):
         state = controller.step(state, trace.behavior_at(t)).state
-    assert list(controller.history) == [trace.behavior_at(t) for t in range(trace.horizon - window, trace.horizon)]
+    assert _ticks(controller.history) == [trace.behavior_at(t) for t in range(trace.horizon - window, trace.horizon)]
 
 
 def _majority_by_loop_and_scan(window_size, history):
@@ -463,8 +519,23 @@ _tied_observations = st.builds(
 @example(4, [b("pro{1}"), b("rea{1,2}"), b("pur{2}"), b("rea{}"), b("pur{3}")])
 def test_window_majority_matches_the_loop_and_scan(window_size, history):
     expected = _majority_by_loop_and_scan(window_size, history)
-    assert predict(WindowMajority(window_size), history) == expected
-    assert predict(WindowMajority(window_size), deque(history, maxlen=window_size)) == expected
+    assert predict(WindowMajority(window_size), runs_of(history)) == expected
+    assert predict(WindowMajority(window_size), runs_of(deque(history, maxlen=window_size))) == expected
+
+
+# Histories with runs of repeated observations, up to 24 ticks, so windows
+# of up to 8 ticks start inside a run, end inside one or hold just one.
+_tied_histories = st.lists(st.tuples(_tied_observations, st.integers(1, 3)), min_size=1, max_size=8).map(
+    lambda runs: [obs for obs, ticks in runs for _ in range(ticks)]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([Persistence()]) | st.integers(1, 8).map(WindowMajority), _tied_histories)
+@example(WindowMajority(3), [b("rea{1}"), b("pur{2}"), b("pur{2}"), b("rea{1,2}"), b("rea{1,2}")])
+@example(WindowMajority(4), [b("pur{1}")] * 3 + [b("rea{2}")] * 2 + [b("pur{1}")] * 2)
+def test_predict_over_runs_matches_the_per_tick_predict(predictor, history):
+    assert predict(predictor, runs_of(history)) == frozen_predict(predictor, history)
 
 
 # ``SystemState.borrowed`` once mapped each peer to the set of figures it
