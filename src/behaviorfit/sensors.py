@@ -3,20 +3,24 @@
 An awareness level derived from how many critical figures are currently
 active picks the operating point between energy-saving-first and
 safety-first; a greedy weighted set cover then activates the cheapest
-sensors that reach the required coverage.
+sensors that reach the required coverage. ``greedy_cover`` builds that
+cover once per inventory, with each sensor's coverage as an ``int`` mask,
+and a run asks it once per situation; ``select_sensors`` is the one-shot
+form of the same cover.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "SAFETY_THRESHOLD",
     "OperativeMode",
     "SensorNode",
     "awareness_mode",
+    "greedy_cover",
     "required_coverage",
     "select_sensors",
 ]
@@ -67,37 +71,63 @@ def required_coverage(
     return active & frozenset(critical)
 
 
+def greedy_cover(sensors: Sequence[SensorNode]) -> Callable[[Iterable[str]], set[str]]:
+    """Greedy weighted set cover over ``sensors``, built once for many
+    requirements: returns a function from the required figures to a fresh
+    set of the ids of the sensors to activate.
+
+    Each round picks the sensor with the best newly-covered-figures-per-
+    energy ratio (ties to the lower id) until the requirement is met. Its
+    cost is at most H(d) times the cheapest cover's, where d is the largest
+    number of required figures one sensor covers (Chvatal 1979). Figures
+    that no sensor covers are dropped up front, so the result covers every
+    coverable required figure (best effort). Sensor ids must be unique, as
+    ``validate_scenario`` demands.
+
+    The figures are numbered once and each coverage is an ``int`` mask, so
+    a round costs one ``&`` and one ``bit_count`` per sensor; a sensor whose
+    gain has reached 0 can never gain again and leaves later rounds.
+    """
+    figures = frozenset().union(*(s.coverage for s in sensors))
+    bit = {figure: 1 << i for i, figure in enumerate(figures)}
+    entries = [
+        (s.id, sum(map(bit.__getitem__, s.coverage)), s.energy_cost)
+        for s in sorted(sensors, key=lambda s: s.id)
+    ]
+
+    def cover(required: Iterable[str]) -> set[str]:
+        remaining = 0
+        for figure in required:
+            remaining |= bit.get(figure, 0)
+        chosen: set[str] = set()
+        live = entries
+        while remaining:
+            # the first sensor with a gain wins against (0, 1.0)
+            best_gain, best_cost = 0, 1.0
+            still = []
+            for entry in live:
+                sensor_id, mask, cost = entry
+                gain = (mask & remaining).bit_count()
+                if gain:
+                    still.append(entry)
+                    # gain/cost > best_gain/best_cost, compared without division
+                    if gain * best_cost > best_gain * cost:
+                        best_id, best_mask, best_gain, best_cost = sensor_id, mask, gain, cost
+            chosen.add(best_id)
+            remaining &= ~best_mask
+            live = still
+        return chosen
+
+    return cover
+
+
 def select_sensors(
     active: Iterable[str],
     sensors: Sequence[SensorNode],
     mode: OperativeMode,
     critical: Iterable[str] = (),
 ) -> set[str]:
-    """Ids of the sensors to activate.
-
-    Greedy weighted set cover: repeatedly pick the sensor with the best
-    newly-covered-figures-per-energy ratio (ties to the lower id) until
-    the required coverage is met or no sensor can still contribute. The
-    result covers the requirement whenever any subset of sensors does;
-    unreachable figures are left uncovered (best effort). Sensor ids must
-    be unique, as ``validate_scenario`` demands: a chosen sensor is skipped
-    only because its coverage has left the requirement.
-    """
-    remaining = set(required_coverage(active, critical, mode))
-    chosen: set[str] = set()
-    candidates = sorted(sensors, key=lambda s: s.id)
-    while remaining:
-        best = None
-        best_gain = 0
-        for sensor in candidates:
-            gain = len(sensor.coverage & remaining)
-            if gain == 0:
-                continue
-            # gain/cost > best_gain/best.cost, compared without division
-            if best is None or gain * best.energy_cost > best_gain * sensor.energy_cost:
-                best, best_gain = sensor, gain
-        if best is None:
-            break
-        chosen.add(best.id)
-        remaining -= best.coverage
-    return chosen
+    """Ids of the sensors to activate for one situation: ``greedy_cover``
+    of the figures ``required_coverage`` asks for. A run that selects many
+    times builds the cover once instead."""
+    return greedy_cover(sensors)(required_coverage(active, critical, mode))

@@ -6,7 +6,8 @@ segment for each of its ticks' ``(sys_behavior, supply, fit, actions,
 cost, cum_cost)``. There is one segment function per kind of run, a
 closure built once per run. A static system and greedy sensor selection
 face one environment behavior for a whole segment, so they score, select
-and price it once and repeat the same objects on every tick. The MAPE-K
+and price it once and repeat the same objects on every tick; a sensor run
+builds its ``greedy_cover`` once and asks it once per segment. The MAPE-K
 controller steps until its predictor's window is one run of the segment's
 behavior and a step leaves the state as it was; every later tick of the
 segment repeats that step's row. The controller scores a tick again only
@@ -42,7 +43,7 @@ from .controller import Controller, SystemState, format_action, tick_cost
 from .environment import EnvironmentTrace, fig2_trace, generate_trace
 from .metrics import NEG_INFINITY, SupplyReport, fit, supply
 from .scenario import Scenario, ScenarioError, validate_scenario
-from .sensors import awareness_mode, select_sensors
+from .sensors import awareness_mode, greedy_cover, required_coverage
 
 __all__ = [
     "CSV_COLUMNS",
@@ -215,13 +216,14 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
 
 def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
+    cover = greedy_cover(scenario.sensors)
     variant = scenario.variant
     cum = 0.0
 
     def run_segment(segment, mode):
         nonlocal cum
         env = segment.behavior
-        chosen = sorted(select_sensors(env.figures, scenario.sensors, mode, scenario.critical))
+        chosen = sorted(cover(required_coverage(env.figures, scenario.critical, mode)))
         # The sensed behavior mirrors the environment's class: the network
         # tracks the situation, its scope is whatever the sensors cover.
         system = Behavior(env.klass, figures=frozenset().union(*(by_id[i].coverage for i in chosen)))

@@ -11,22 +11,27 @@ from behaviorfit import (
     OperativeMode,
     SensorNode,
     awareness_mode,
+    greedy_cover,
     required_coverage,
     select_sensors,
 )
 
 
-def brute_force_min_energy(sensors, required):
-    """Cheapest feasible subset by exhaustive enumeration, or None."""
-    best = None
-    for r in range(len(sensors) + 1):
-        for combo in itertools.combinations(sensors, r):
-            covered = frozenset().union(*(s.coverage for s in combo)) if combo else frozenset()
-            if required <= covered:
-                energy = sum(s.energy_cost for s in combo)
-                if best is None or energy < best:
-                    best = energy
-    return best
+def _union(sensors) -> frozenset[str]:
+    return frozenset().union(*(s.coverage for s in sensors))
+
+
+def exact_min_cost(sensors, required) -> float:
+    """Energy of the cheapest set of sensors that covers every figure of
+    ``required`` that some sensor covers, found by trying every subset."""
+    assert len(sensors) <= 12, "2**n subsets"
+    reachable = required & _union(sensors)
+    return min(
+        sum(s.energy_cost for s in combo)
+        for r in range(len(sensors) + 1)
+        for combo in itertools.combinations(sensors, r)
+        if reachable <= _union(combo)
+    )
 
 
 class TestAwarenessMode:
@@ -64,7 +69,7 @@ class TestSelectSensors:
 
     def test_single_sensor_beats_pairs(self):
         # brute force over all 8 subsets confirms C alone is optimal
-        assert brute_force_min_energy([self.A, self.B, self.C], frozenset("13")) == 1.0
+        assert exact_min_cost([self.A, self.B, self.C], frozenset("13")) == 1.0
         assert select_sensors(frozenset("13"), [self.A, self.B, self.C], OperativeMode(1.0)) == {"C"}
 
     def test_nothing_active(self):
@@ -106,14 +111,9 @@ class TestSelectSensors:
             active = frozenset(f for f in figures if rng.random() < 0.5)
             chosen = select_sensors(active, sensors, OperativeMode(1.0))
             by_id = {s.id: s for s in sensors}
-            covered = frozenset().union(
-                *(by_id[i].coverage for i in chosen)
-            ) if chosen else frozenset()
-            opt = brute_force_min_energy(sensors, active)
-            if opt is None:
-                assert not active <= covered or not active
-                continue
-            assert active <= covered
+            covered = _union(by_id[i] for i in chosen)
+            assert active & covered == active & _union(sensors)
+            opt = exact_min_cost(sensors, active)
             greedy_energy = sum(by_id[i].energy_cost for i in chosen)
             d = max(len(s.coverage) for s in sensors)
             assert greedy_energy <= (1 + math.log(d)) * opt + 1e-9
@@ -209,3 +209,91 @@ def test_greedy_matches_the_loop_with_a_chosen_skip(active, sensors, level, crit
     mode = OperativeMode(level)
     expected = _greedy_with_chosen_skip(active, sensors, mode, critical)
     assert select_sensors(active, sensors, mode, critical) == expected
+
+
+def _frozen_select_sensors(active, sensors, mode, critical=()):
+    """``select_sensors`` as it was before ``greedy_cover``, a scan over
+    frozensets that sorts the inventory on every call; the cover's
+    reference."""
+    remaining = set(required_coverage(active, critical, mode))
+    chosen: set[str] = set()
+    candidates = sorted(sensors, key=lambda s: s.id)
+    while remaining:
+        best = None
+        best_gain = 0
+        for sensor in candidates:
+            gain = len(sensor.coverage & remaining)
+            if gain == 0:
+                continue
+            # gain/cost > best_gain/best.cost, compared without division
+            if best is None or gain * best.energy_cost > best_gain * sensor.energy_cost:
+                best, best_gain = sensor, gain
+        if best is None:
+            break
+        chosen.add(best.id)
+        remaining -= best.coverage
+    return chosen
+
+
+_COVERED = "abcdef"
+_ASKED = _COVERED + "xy"  # no sensor covers x or y
+# Products of these with small gains round (3 * 0.1 > 0.3), so ratio ties
+# and near-ties between sensors are common.
+_COSTS = (0.1, 0.2, 0.3, 0.6, 0.7, 1.0)
+_asked = st.frozensets(st.sampled_from(_ASKED))
+
+
+@st.composite
+def shuffled_inventories(draw, max_size: int = 10) -> list[SensorNode]:
+    """Up to ``max_size`` sensors, listed out of id order ("s10" sorts
+    before "s9"), sharing coverages drawn from a small pool."""
+    numbers = draw(st.lists(st.integers(0, 99), unique=True, max_size=max_size))
+    pool = draw(st.lists(st.frozensets(st.sampled_from(_COVERED), min_size=1), min_size=1, max_size=max_size))
+    return [SensorNode(f"s{n}", draw(st.sampled_from(pool)), draw(st.sampled_from(_COSTS))) for n in numbers]
+
+
+@settings(max_examples=400, deadline=None)
+@given(shuffled_inventories(), st.lists(st.tuples(_asked, st.floats(0.0, 1.0), _asked), max_size=8))
+@example([], [(frozenset("ax"), 1.0, frozenset())])
+@example(
+    [SensorNode("s9", "ab", 0.2), SensorNode("s10", "a", 0.1), SensorNode("s2", "b", 0.1)],
+    [(frozenset("ab"), 1.0, frozenset()), (frozenset("ab"), 1.0, frozenset())],
+)
+def test_one_cover_answers_a_run_of_situations_as_the_frozen_scan(sensors, situations):
+    cover = greedy_cover(sensors)
+    answers = []
+    for active, level, critical in situations:
+        mode = OperativeMode(level)
+        answer = cover(required_coverage(active, critical, mode))
+        assert answer == _frozen_select_sensors(active, sensors, mode, critical)
+        assert select_sensors(active, sensors, mode, critical) == answer
+        answers.append(answer)
+    # each answer is the caller's own set
+    assert len({id(answer) for answer in answers}) == len(answers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_inventories(max_size=12), _asked)
+def test_greedy_covers_the_reachable_requirement_within_h_d_of_the_optimum(sensors, required):
+    chosen = greedy_cover(sensors)(required)
+    assert required & _union(s for s in sensors if s.id in chosen) == required & _union(sensors)
+    # Chvatal 1979: greedy pays at most H(d) times the cheapest cover, d the
+    # largest number of required figures one sensor covers
+    d = max((len(s.coverage & required) for s in sensors), default=0)
+    h_d = sum(1 / k for k in range(1, d + 1))
+    greedy_cost = sum(s.energy_cost for s in sensors if s.id in chosen)
+    assert greedy_cost <= h_d * exact_min_cost(sensors, required) * (1 + 1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shuffled_inventories(), _asked, st.data())
+def test_ties_go_to_the_lower_id(sensors, required, data):
+    answer = greedy_cover(sensors)(required)
+    assert greedy_cover(data.draw(st.permutations(sensors)))(required) == answer
+    if sensors:
+        # "s5~" sorts after "s5" (and after "s50"), so it is the higher id
+        original = data.draw(st.sampled_from(sensors))
+        twin = replace(original, id=original.id + "~")
+        with_twin = greedy_cover([*sensors, twin])(required)
+        assert twin.id not in with_twin
+        assert with_twin == answer

@@ -205,23 +205,32 @@ class TestPerSegmentEvaluation:
     def test_one_supply_and_selection_call_per_segment(self, monkeypatch, kind):
         calls = Counter()
 
-        def counting(name):
+        def counting(name, wrap=lambda result: result):
             original = getattr(behaviorfit.simulate, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return original(*args, **kwargs)
+                return wrap(original(*args, **kwargs))
 
             monkeypatch.setattr(behaviorfit.simulate, name, wrapper)
 
+        def counting_cover(cover):
+            def select(required):
+                calls["cover"] += 1
+                return cover(required)
+
+            return select
+
         counting("supply")
-        counting("select_sensors")
+        # a sensor run builds its cover once and selects with it per segment
+        counting("greedy_cover", counting_cover)
         scenario = parse_scenario(self.TEXT + (self.SENSORS if kind == "sensors" else self.STATIC))
         segments = scenario_trace(scenario).segments
         report = run_scenario(scenario)
         assert len(report.rows) == 200 > len(segments) > 1
         assert calls["supply"] == len(segments)
-        assert calls["select_sensors"] == (len(segments) if kind == "sensors" else 0)
+        assert calls["greedy_cover"] == (1 if kind == "sensors" else 0)
+        assert calls["cover"] == (len(segments) if kind == "sensors" else 0)
         # every tick of a segment carries the segment's one report
         for segment in segments:
             assert len({id(row.supply) for row in report.rows[segment.start:segment.end]}) == 1
