@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 from dataclasses import dataclass
+from itertools import chain, count
 from operator import attrgetter
+from typing import Iterator
 
 from .behavior import Behavior, BehaviorClass, _ascii_number, format_behavior, parse_behavior, parse_figures
 
@@ -105,26 +108,53 @@ def fig2_trace() -> EnvironmentTrace:
     )
 
 
+_LANES = 256
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+# lane i of a block is bits [128 i, 128 i + 64) of one int; the upper 64
+# bits of every lane stay zero, so no carry and no 64 x 64-bit product
+# reaches the next lane
+_ONES = sum(1 << (128 * i) for i in range(_LANES))
+_LANE_MASK = _MASK * _ONES
+_STEPS = sum((((i + 1) * _GAMMA) & _MASK) << (128 * i) for i in range(_LANES))
+_UNPACK = struct.Struct("<" + "Q8x" * _LANES).unpack
+
+
+def _block(state: int) -> tuple[int, ...]:
+    """The next ``_LANES`` outputs of the generator whose state is
+    ``state`` mod 2^64."""
+    z = ((state & _MASK) * _ONES + _STEPS) & _LANE_MASK
+    z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+    z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+    # the last shift leaves the next lane's low bits in a lane's upper 64
+    # bits, which the unpack skips
+    return _UNPACK((z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))
+
+
+def _draws(seed: int) -> Iterator[int]:
+    """The endless stream of 64-bit outputs for ``seed``, taken mod 2^64."""
+    return chain.from_iterable(map(_block, count(seed, _LANES * _GAMMA)))
+
+
 class SplitMix64:
     """Tiny portable RNG so generated traces are bit-stable everywhere.
 
     State advances by the 64-bit recurrence
     ``s += 0x9E3779B97F4A7C15``; each output mixes the new state with
     ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-    z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64).
+    z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64). The outputs
+    are computed ``_LANES`` at a time, one lane per state, in one packed
+    int and unpacked little-endian, so they are the recurrence's numbers
+    on every platform.
     """
 
-    MASK = (1 << 64) - 1
+    MASK = _MASK
 
     def __init__(self, seed: int):
-        self._state = seed & self.MASK
+        self._draws = _draws(seed)
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self.MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
+        return next(self._draws)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -152,12 +182,11 @@ class TurbulenceSpec:
             raise ValueError("horizon must be at least mean_segment_len")
 
 
-def _geometric(rng: SplitMix64, mean: int) -> int:
-    if mean <= 1:
-        return 1
-    p = 1.0 / mean
-    u = rng.random()
-    return int(math.floor(math.log1p(-u) / math.log1p(-p))) + 1
+def _below(p: float) -> int:
+    """The draws ``z`` with ``SplitMix64.random() < p`` are exactly the
+    ``z < _below(p)``: ``(z >> 11) / 2**53`` and ``p * 2**53`` are exact,
+    and an integer is below a real number iff it is below its ceiling."""
+    return math.ceil(p * (1 << 53)) << 11
 
 
 def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> EnvironmentTrace:
@@ -170,25 +199,31 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
     lasts one tick), one uniform for the lazy class walk (and one more
     for its +/-1 direction, clamped to the class range), and one uniform
     per figure for membership flips. The first segment starts purposeful.
+    A draw is tested against a probability as an exact integer threshold
+    on the 64-bit output.
     """
     universe = frozenset(universe)
-    rng = SplitMix64(spec.seed)
+    draw = _draws(spec.seed).__next__
     ordered = sorted(universe)
-    figures = {f for f in ordered if rng.random() < 0.5}
+    half, walk, flip = _below(0.5), _below(spec.class_walk), _below(spec.figure_flip)
+    figures = {f for f in ordered if draw() < half}
+    mean, horizon = spec.mean_segment_len, spec.horizon
+    log_q = math.log1p(-1.0 / mean) if mean > 1 else None
     klass = BehaviorClass.PURPOSEFUL
     segments = []
     t = 0
-    while t < spec.horizon:
-        length = min(_geometric(rng, spec.mean_segment_len), spec.horizon - t)
-        behavior = Behavior(klass, figures=frozenset(figures))
-        segments.append(Segment(t, length, behavior))
+    while t < horizon:
+        if log_q is None:
+            length = 1
+        else:
+            u = (draw() >> 11) / (1 << 53)
+            length = min(math.floor(math.log1p(-u) / log_q) + 1, horizon - t)
+        segments.append(Segment(t, length, Behavior(klass, figures=frozenset(figures))))
         t += length
-        if rng.random() < spec.class_walk:
-            delta = -1 if rng.random() < 0.5 else 1
+        if draw() < walk:
+            delta = -1 if draw() < half else 1
             klass = BehaviorClass(min(BehaviorClass.SOCIAL, max(BehaviorClass.RANDOM, klass + delta)))
-        for f in ordered:
-            if rng.random() < spec.figure_flip:
-                figures.symmetric_difference_update({f})
+        figures.symmetric_difference_update([f for f in ordered if draw() < flip])
     return EnvironmentTrace(tuple(segments), universe)
 
 

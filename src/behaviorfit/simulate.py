@@ -1,19 +1,18 @@
 """Scenario simulation loop and CSV/JSON reporting.
 
 ``run_scenario`` walks the trace's segments, works out the awareness mode
-once per segment, and calls ``run_segment(segment, mode)`` once per
-segment for each of its ticks' ``(sys_behavior, supply, fit, actions,
-cost, cum_cost)``. There is one segment function per kind of run, a
-closure built once per run. A static system and greedy sensor selection
-face one environment behavior for a whole segment, so they score, select
-and price it once and repeat the same objects on every tick; a sensor run
-builds its ``greedy_cover`` once and asks it once per segment. The MAPE-K
-controller steps until its predictor's window is one run of the segment's
-behavior and a step leaves the state as it was; every later tick of the
-segment repeats that step's row. The controller scores a tick again only
-when the system behavior or the observation changes, so a step that keeps
-the last step's behavior within a segment returns that step's supply and
-fit objects too.
+once per segment, and calls ``run_segment(segment, mode, level)`` once per
+segment, which emits the segment's ``TickRow``s itself. There is one
+segment function per kind of run, a closure built once per run. A static
+system and greedy sensor selection face one environment behavior for a
+whole segment, so they score, select and price it once and repeat the
+same objects on every tick; a sensor run builds its ``greedy_cover`` once
+and asks it once per segment. The MAPE-K controller steps until its
+predictor's window is one run of the segment's behavior and a step leaves
+the state as it was; every later tick of the segment repeats that step's
+row. The controller scores a tick again only when the system behavior or
+the observation changes, so a step that keeps the last step's behavior
+within a segment returns that step's supply and fit objects too.
 
 CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.
@@ -154,11 +153,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
     with_mode = bool(scenario.sensors or scenario.critical)
     rows = []
     for segment in trace.segments:
-        env = segment.behavior
-        mode = awareness_mode(env.figures, scenario.critical) if with_mode else None
-        level = mode.level if mode is not None else None
-        for t, values in enumerate(run_segment(segment, mode), segment.start):
-            rows.append(TickRow(t, env, *values, level))
+        mode = awareness_mode(segment.behavior.figures, scenario.critical) if with_mode else None
+        rows.extend(run_segment(segment, mode, mode.level if mode is not None else None))
     summary = _summarize(rows)
     # costs are non-negative and cum_cost never falls, so a finite total
     # means every row's cost and cum_cost is finite too
@@ -167,37 +163,43 @@ def run_scenario(scenario: Scenario) -> RunReport:
     return RunReport(scenario.name, tuple(rows), summary)
 
 
-def _static_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
+def _static_segment(scenario: Scenario) -> Callable[..., list[TickRow]]:
     behavior, variant = scenario.initial_behavior, scenario.variant
     cost = tick_cost(SystemState(behavior), scenario.costs)
 
-    def run_segment(segment, mode):
-        report = supply(behavior, segment.behavior)
+    def run_segment(segment, mode, level):
+        env = segment.behavior
+        report = supply(behavior, env)
         value = fit(report, variant)
-        for t in range(segment.start, segment.end):
-            yield behavior, report, value, (), cost, cost * (t + 1)
+        return [
+            TickRow(t, env, behavior, report, value, (), cost, cost * (t + 1), level)
+            for t in range(segment.start, segment.end)
+        ]
 
     return run_segment
 
 
-def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
+def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[TickRow]]:
     controller = Controller(
         scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
     )
     state = SystemState(scenario.initial_behavior)
     window = controller.predictor.window
 
-    def run_segment(segment, mode):
+    def run_segment(segment, mode, level):
         nonlocal state
         env = segment.behavior
-        ticks = iter(range(segment.duration))
-        for k in ticks:
+        ticks = iter(range(segment.start, segment.end))
+        for t in ticks:
             before = state.cum_cost
             result = controller.step(state, env)
             state = result.state
             actions = tuple(format_action(a) for a in result.actions)
-            yield state.behavior, result.supply, result.fit, actions, state.cum_cost - before, state.cum_cost
-            if k >= window and not actions:
+            yield TickRow(
+                t, env, state.behavior, result.supply, result.fit, actions,
+                state.cum_cost - before, state.cum_cost, level,
+            )
+            if t - segment.start >= window and not actions:
                 break
         else:
             return
@@ -206,21 +208,21 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
         # segment would be the same idle step and would add the same cost.
         cost = tick_cost(state, scenario.costs)
         cum = state.cum_cost
-        for _ in ticks:
+        for t in ticks:
             before, cum = cum, cum + cost
-            yield state.behavior, result.supply, result.fit, (), cum - before, cum
+            yield TickRow(t, env, state.behavior, result.supply, result.fit, (), cum - before, cum, level)
         state = replace(state, cum_cost=cum)
 
     return run_segment
 
 
-def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
+def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[TickRow]]:
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
     cover = greedy_cover(scenario.sensors)
     variant = scenario.variant
     cum = 0.0
 
-    def run_segment(segment, mode):
+    def run_segment(segment, mode, level):
         nonlocal cum
         env = segment.behavior
         chosen = sorted(cover(required_coverage(env.figures, scenario.critical, mode)))
@@ -231,9 +233,9 @@ def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[tuple]]:
         report = supply(system, env)
         value = fit(report, variant)
         actions = tuple(f"activate:{i}" for i in chosen)
-        for _ in range(segment.duration):
+        for t in range(segment.start, segment.end):
             cum += cost
-            yield system, report, value, actions, cost, cum
+            yield TickRow(t, env, system, report, value, actions, cost, cum, level)
 
     return run_segment
 

@@ -69,6 +69,18 @@ def test_run_seed_override_changes_output(scenario_file, tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_a_seed_is_reduced_mod_2_to_the_64(scenario_file, tmp_path):
+    keyed = tmp_path / "keyed.scenario"
+    keyed.write_text(TURBULENT.replace("turbulence.seed = 7", "turbulence.seed = -3"))
+    runs = [(scenario_file, [f"--seed={seed}"]) for seed in (-3, 2**64 - 3, 2**65 - 3)] + [(keyed, [])]
+    written = set()
+    for k, (path, seed) in enumerate(runs):
+        out, trace = tmp_path / f"{k}.csv", tmp_path / f"{k}.trace"
+        assert main(["run", "--scenario", str(path), *seed, "--out", str(out), "--emit-trace", str(trace)]) == 0
+        written.add((out.read_bytes(), trace.read_bytes()))
+    assert len(written) == 1
+
+
 def test_run_fit_variant_flag(scenario_file, capsys):
     assert main(["run", "--scenario", str(scenario_file), "--fit-variant", "quadratic"]) == 0
     capsys.readouterr()
