@@ -2,17 +2,23 @@
 
 ``run_scenario`` walks the trace's segments, works out the awareness mode
 once per segment, and calls ``run_segment(segment, mode, level)`` once per
-segment, which emits the segment's ``TickRow``s itself. There is one
-segment function per kind of run, a closure built once per run. A static
-system and greedy sensor selection face one environment behavior for a
-whole segment, so they score, select and price it once and repeat the
-same objects on every tick; a sensor run builds its ``greedy_cover`` once
-and asks it once per segment. The MAPE-K controller steps until its
-predictor's window is one run of the segment's behavior and a step leaves
-the state as it was; every later tick of the segment repeats that step's
-row. The controller scores a tick again only when the system behavior or
-the observation changes, so a step that keeps the last step's behavior
-within a segment returns that step's supply and fit objects too.
+segment, which emits the segment's runs: consecutive ticks that share the
+same behavior, supply, fit, actions and mode objects, with each tick's
+cost and cumulative cost. There is one segment function per kind of run,
+a closure built once per run. A static system and greedy sensor selection
+face one environment behavior for a whole segment, so they score, select
+and price it once and emit the segment as one run; a sensor run builds
+its ``greedy_cover`` once and asks it once per segment. The MAPE-K
+controller steps until its predictor's window is one run of the segment's
+behavior and a step leaves the state as it was, emitting one run per
+step; every later tick of the segment repeats that step, as one run. The
+controller scores a tick again only when the system behavior or the
+observation changes, so a step that keeps the last step's behavior within
+a segment returns that step's supply and fit objects too.
+
+The summary is worked out from the runs, and ``RunReport.rows`` builds
+the ``TickRow``s from them only when first read, so a sweep, which reads
+only summaries, and the renderers build none.
 
 CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.
@@ -21,9 +27,10 @@ the actions cell joins action tokens with ``;`` and mode is empty unless
 the scenario defines sensors or critical figures. JSON rows carry the same
 keys in the same order.
 
-The renderers format a row's behaviors, supply, fit, actions and mode once
-per run of consecutive rows that share those objects, which every segment's
-repeated rows do, and write only ``t``, ``cost`` and ``cum_cost`` per row.
+The renderers walk the runs, format a run's behaviors, supply, fit,
+actions and mode once per group of consecutive runs that share those
+objects (a controller's idle steps and the tail that repeats them form
+one), and write only ``t``, ``cost`` and ``cum_cost`` per tick.
 ``render_json`` writes the text ``json.dumps(..., indent=2)`` would.
 """
 
@@ -32,10 +39,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from itertools import groupby
+from itertools import accumulate, chain, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator
+from operator import mul, sub
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .behavior import Behavior, BehaviorClass, format_behavior
 from .controller import Controller, SystemState, format_action, tick_cost
@@ -91,11 +100,90 @@ class RunSummary:
     total_cost: float
 
 
+class _Run(NamedTuple):
+    """Ticks ``start``, ``start + 1``, ... that share the behaviors, supply,
+    fit, actions and mode; ``costs[k]`` and ``cum_costs[k]`` are tick
+    ``start + k``'s, and there is at least one tick."""
+
+    start: int
+    env: Behavior
+    sys: Behavior
+    supply: SupplyReport
+    fit: float
+    actions: tuple[str, ...]
+    mode: float | None
+    costs: tuple[float, ...]
+    cum_costs: tuple[float, ...]
+
+
+class _Rows(Sequence):
+    """A read-only sequence of ``TickRow``s, kept as runs, as rows or as
+    both: each form is built from the other on first use and kept. Rows
+    built from runs share the runs' objects; a tuple of rows reads as
+    one-tick runs. ``==`` and ``hash`` are those of the tuple of rows."""
+
+    __slots__ = ("_runs", "_rows")
+
+    def __init__(self, runs: tuple[_Run, ...] | None = None, rows: tuple[TickRow, ...] | None = None):
+        self._runs = runs
+        self._rows = rows
+
+    @property
+    def runs(self) -> tuple[_Run, ...]:
+        if self._runs is None:
+            self._runs = tuple(
+                _Run(row.t, row.env_behavior, row.sys_behavior, row.supply, row.fit, row.actions, row.mode,
+                     (row.cost,), (row.cum_cost,))
+                for row in self._rows
+            )
+        return self._runs
+
+    def _tuple(self) -> tuple[TickRow, ...]:
+        if self._rows is None:
+            self._rows = tuple(
+                TickRow(t, run.env, run.sys, run.supply, run.fit, run.actions, cost, cum, run.mode)
+                for run in self._runs
+                for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs)
+            )
+        return self._rows
+
+    def __len__(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
+        return sum(len(run.costs) for run in self._runs)
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self) -> Iterator[TickRow]:
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        return self._tuple().__eq__(other._tuple() if isinstance(other, _Rows) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 @dataclass(frozen=True)
 class RunReport:
+    """A run's name, its rows and its summary.
+
+    ``rows`` is a read-only sequence of ``TickRow``s that compares and
+    hashes as their tuple. ``run_scenario``'s report keeps the run's ticks
+    as runs and builds the rows only when they are first read. Rows given
+    as a tuple (or any iterable) are kept as that tuple."""
+
     name: str
-    rows: tuple[TickRow, ...]
+    rows: Sequence[TickRow]
     summary: RunSummary
+
+    def __post_init__(self):
+        if not isinstance(self.rows, _Rows):
+            object.__setattr__(self, "rows", _Rows(rows=tuple(self.rows)))
 
 
 def fig2_scenario() -> Scenario:
@@ -109,13 +197,18 @@ def fig2_scenario() -> Scenario:
     )
 
 
-def _summarize(rows: list[TickRow]) -> RunSummary:
-    finite = [row.fit for row in rows if row.fit != NEG_INFINITY]
+def _summary(runs: tuple[_Run, ...]) -> RunSummary:
+    """The summary of the rows ``runs`` expand to. The mean is exactly
+    rounded, so it does not depend on how the fits are grouped."""
+    finite = [run for run in runs if run.fit != NEG_INFINITY]
+    ticks = sum(len(run.costs) for run in runs)
+    finite_ticks = sum(len(run.costs) for run in finite)
+    fits = chain.from_iterable(repeat(run.fit, len(run.costs)) for run in finite)
     return RunSummary(
-        ticks=len(rows),
-        mean_finite_fit=math.fsum(finite) / len(finite) if finite else 0.0,
-        neg_inf_ticks=len(rows) - len(finite),
-        total_cost=rows[-1].cum_cost,
+        ticks=ticks,
+        mean_finite_fit=math.fsum(fits) / finite_ticks if finite_ticks else 0.0,
+        neg_inf_ticks=ticks - finite_ticks,
+        total_cost=runs[-1].cum_costs[-1],
     )
 
 
@@ -151,35 +244,35 @@ def run_scenario(scenario: Scenario) -> RunReport:
     else:
         run_segment = _static_segment(scenario)
     with_mode = bool(scenario.sensors or scenario.critical)
-    rows = []
+    runs = []
     for segment in trace.segments:
         mode = awareness_mode(segment.behavior.figures, scenario.critical) if with_mode else None
-        rows.extend(run_segment(segment, mode, mode.level if mode is not None else None))
-    summary = _summarize(rows)
+        runs.extend(run_segment(segment, mode, mode.level if mode is not None else None))
+    runs = tuple(runs)
+    summary = _summary(runs)
     # costs are non-negative and cum_cost never falls, so a finite total
     # means every row's cost and cum_cost is finite too
     if not math.isfinite(summary.total_cost):
         raise ScenarioError("costs: the run's total cost overflows to infinity")
-    return RunReport(scenario.name, tuple(rows), summary)
+    return RunReport(scenario.name, _Rows(runs), summary)
 
 
-def _static_segment(scenario: Scenario) -> Callable[..., list[TickRow]]:
+def _static_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
     behavior, variant = scenario.initial_behavior, scenario.variant
     cost = tick_cost(SystemState(behavior), scenario.costs)
 
     def run_segment(segment, mode, level):
         env = segment.behavior
         report = supply(behavior, env)
-        value = fit(report, variant)
-        return [
-            TickRow(t, env, behavior, report, value, (), cost, cost * (t + 1), level)
-            for t in range(segment.start, segment.end)
-        ]
+        # tick t's cum_cost is cost * (t + 1)
+        cums = tuple(map(mul, repeat(cost), range(segment.start + 1, segment.end + 1)))
+        return (_Run(segment.start, env, behavior, report, fit(report, variant), (), level,
+                     (cost,) * segment.duration, cums),)
 
     return run_segment
 
 
-def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[TickRow]]:
+def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[_Run]]:
     controller = Controller(
         scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
     )
@@ -189,16 +282,13 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[TickRow]]:
     def run_segment(segment, mode, level):
         nonlocal state
         env = segment.behavior
-        ticks = iter(range(segment.start, segment.end))
-        for t in ticks:
+        for t in range(segment.start, segment.end):
             before = state.cum_cost
             result = controller.step(state, env)
             state = result.state
             actions = tuple(format_action(a) for a in result.actions)
-            yield TickRow(
-                t, env, state.behavior, result.supply, result.fit, actions,
-                state.cum_cost - before, state.cum_cost, level,
-            )
+            yield _Run(t, env, state.behavior, result.supply, result.fit, actions, level,
+                       (state.cum_cost - before,), (state.cum_cost,))
             if t - segment.start >= window and not actions:
                 break
         else:
@@ -206,17 +296,17 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[TickRow]]:
         # From tick ``window`` on the history holds only ``env``, so the
         # prediction is fixed; once a step is idle, every later step of the
         # segment would be the same idle step and would add the same cost.
-        cost = tick_cost(state, scenario.costs)
-        cum = state.cum_cost
-        for t in ticks:
-            before, cum = cum, cum + cost
-            yield TickRow(t, env, state.behavior, result.supply, result.fit, (), cum - before, cum, level)
-        state = replace(state, cum_cost=cum)
+        if t + 1 < segment.end:
+            cums = tuple(accumulate(repeat(tick_cost(state, scenario.costs), segment.end - t - 1),
+                                    initial=state.cum_cost))
+            yield _Run(t + 1, env, state.behavior, result.supply, result.fit, actions, level,
+                       tuple(map(sub, cums[1:], cums)), cums[1:])
+            state = replace(state, cum_cost=cums[-1])
 
     return run_segment
 
 
-def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[TickRow]]:
+def _sensor_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
     cover = greedy_cover(scenario.sensors)
     variant = scenario.variant
@@ -231,23 +321,26 @@ def _sensor_segment(scenario: Scenario) -> Callable[..., Iterator[TickRow]]:
         system = Behavior(env.klass, figures=frozenset().union(*(by_id[i].coverage for i in chosen)))
         cost = sum(by_id[i].energy_cost for i in chosen)
         report = supply(system, env)
-        value = fit(report, variant)
+        # cum += cost on every tick
+        cums = tuple(islice(accumulate(repeat(cost, segment.duration), initial=cum), 1, None))
+        cum = cums[-1]
         actions = tuple(f"activate:{i}" for i in chosen)
-        for t in range(segment.start, segment.end):
-            cum += cost
-            yield TickRow(t, env, system, report, value, actions, cost, cum, level)
+        return (_Run(segment.start, env, system, report, fit(report, variant), actions, level,
+                     (cost,) * segment.duration, cums),)
 
     return run_segment
 
 
-def _runs(rows: tuple[TickRow, ...]) -> Iterator[list[TickRow]]:
-    """Runs of consecutive rows whose behaviors, supply, fit, actions and
-    mode are the same objects, so what a renderer makes of them holds for
-    the whole run."""
-    for _, run in groupby(rows, lambda row: (
-        id(row.env_behavior), id(row.sys_behavior), id(row.supply), id(row.fit), id(row.actions), id(row.mode)
+def _groups(report: RunReport) -> Iterator[tuple[_Run, Iterator[tuple[int, float, float]]]]:
+    """Groups of consecutive runs whose behaviors, supply, fit, actions and
+    mode are the same objects, so what a renderer makes of the first run
+    holds for the group: that run, and each tick of the group as
+    ``(t, cost, cum_cost)``."""
+    for _, group in groupby(report.rows.runs, lambda run: (
+        id(run.env), id(run.sys), id(run.supply), id(run.fit), id(run.actions), id(run.mode)
     )):
-        yield list(run)
+        group = list(group)
+        yield group[0], chain.from_iterable(zip(count(run.start), run.costs, run.cum_costs) for run in group)
 
 
 def render_csv(report: RunReport) -> str:
@@ -256,11 +349,10 @@ def render_csv(report: RunReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for run in _runs(report.rows):
-        first = run[0]
-        shared = (format_behavior(first.env_behavior), format_behavior(first.sys_behavior),
+    for first, ticks in _groups(report):
+        shared = (format_behavior(first.env), format_behavior(first.sys),
                   first.supply.kind.value, first.supply.value, first.fit, ";".join(first.actions))
-        writer.writerows((row.t, *shared, row.cost, row.cum_cost, first.mode) for row in run)
+        writer.writerows((t, *shared, cost, cum, first.mode) for t, cost, cum in ticks)
     return buffer.getvalue()
 
 
@@ -284,14 +376,13 @@ def render_json(report: RunReport) -> str:
     infinity as ``"-inf"``), plus a newline."""
     summary = ",\n".join(f'    "{key}": {_json_value(value)}' for key, value in asdict(report.summary).items())
     rows = []
-    for run in _runs(report.rows):
-        first = run[0]
+    for first, ticks in _groups(report):
         tokens = ",\n".join(f"        {_json_value(token)}" for token in first.actions)
         actions = f"[\n{tokens}\n      ]" if tokens else "[]"
         fit_value = "-inf" if first.fit == NEG_INFINITY else first.fit
         middle = (
-            f',\n      "env_behavior": {_json_value(format_behavior(first.env_behavior))}'
-            f',\n      "sys_behavior": {_json_value(format_behavior(first.sys_behavior))}'
+            f',\n      "env_behavior": {_json_value(format_behavior(first.env))}'
+            f',\n      "sys_behavior": {_json_value(format_behavior(first.sys))}'
             f',\n      "supply_kind": {_json_value(first.supply.kind.value)}'
             f',\n      "supply": {_json_value(first.supply.value)}'
             f',\n      "fit": {_json_value(fit_value)}'
@@ -300,9 +391,9 @@ def render_json(report: RunReport) -> str:
         )
         tail = f',\n      "mode": {_json_value(first.mode)}\n    }}'
         rows.extend(
-            f'    {{\n      "t": {row.t}{middle}{_json_value(row.cost)}'
-            f',\n      "cum_cost": {_json_value(row.cum_cost)}{tail}'
-            for row in run
+            f'    {{\n      "t": {t}{middle}{_json_value(cost)}'
+            f',\n      "cum_cost": {_json_value(cum)}{tail}'
+            for t, cost, cum in ticks
         )
     body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return f'{{\n  "name": {_json_value(report.name)},\n  "summary": {{\n{summary}\n  }},\n  "rows": {body}\n}}\n'

@@ -39,9 +39,10 @@ def runs_of(observations) -> list[tuple]:
     return [(obs, len(list(group))) for obs, group in groupby(observations)]
 
 
-# The CSV and JSON renderers and the behavior grammar as they stood when
-# they were frozen here, so a rewrite of the program's renderers is checked
-# against bytes that the program does not make itself.
+# The CSV and JSON renderers, the behavior grammar and the run summary as
+# they stood when they were frozen here, so a rewrite of the program's
+# renderers or summary is checked against what the program does not make
+# itself.
 FROZEN_COLUMNS = (
     "t", "env_behavior", "sys_behavior", "supply_kind", "supply", "fit", "actions", "cost", "cum_cost", "mode",
 )
@@ -88,3 +89,15 @@ def frozen_json(report) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def frozen_summary(rows) -> tuple:
+    """The summary of ``rows`` as ``(ticks, mean_finite_fit, neg_inf_ticks,
+    total_cost)``."""
+    finite = [row.fit for row in rows if row.fit != -math.inf]
+    return (
+        len(rows),
+        math.fsum(finite) / len(finite) if finite else 0.0,
+        len(rows) - len(finite),
+        rows[-1].cum_cost,
+    )

@@ -1,13 +1,15 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import behaviorfit.cli
 import behaviorfit.simulate
 from behaviorfit import (
     NEG_INFINITY,
@@ -31,7 +33,8 @@ from behaviorfit import (
     run_scenario,
     scenario_trace,
 )
-from conftest import behaviors, frozen_csv, frozen_json
+from behaviorfit.simulate import _Rows, _Run, _summary
+from conftest import behaviors, frozen_csv, frozen_json, frozen_summary
 
 LN3 = math.log(3)
 
@@ -354,23 +357,28 @@ def _twin(value):
 
 
 @st.composite
+def supplies(draw) -> SupplyReport:
+    value = draw(numbers)
+    if value == 0:
+        kind = SupplyKind.PERFECT
+    elif value > 0:
+        kind = SupplyKind.OVERSUPPLY
+    else:
+        kind = draw(st.sampled_from([SupplyKind.UNDERSUPPLY, SupplyKind.INCOMPARABLE]))
+    return SupplyReport(value, kind)
+
+
+@st.composite
 def hand_built_reports(draw) -> RunReport:
     """A report of up to five runs of rows: one to four ticks per run, whose
     rows share one set of objects or carry equal twins of them, with any
     costs."""
     rows = []
     for _ in range(draw(st.integers(0, 5))):
-        value = draw(numbers)
-        if value == 0:
-            kind = SupplyKind.PERFECT
-        elif value > 0:
-            kind = SupplyKind.OVERSUPPLY
-        else:
-            kind = draw(st.sampled_from([SupplyKind.UNDERSUPPLY, SupplyKind.INCOMPARABLE]))
         shared = (
             draw(behaviors(figures=AWKWARD)),
             draw(behaviors(figures=AWKWARD)),
-            SupplyReport(value, kind),
+            draw(supplies()),
             draw(st.one_of(st.just(NEG_INFINITY), st.floats(allow_nan=False, allow_infinity=False))),
             tuple(draw(st.lists(texts, max_size=3))),
             draw(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))),
@@ -399,3 +407,145 @@ def test_json_refuses_a_number_it_would_write_as_infinity_or_nan(field, value):
     row = replace(report.rows[0], **{field: value})
     with pytest.raises(ValueError, match="as a JSON number"):
         render_json(replace(report, rows=(row,)))
+
+
+class TestLazyRows:
+    """A run keeps its ticks as runs; only reading ``RunReport.rows`` builds
+    ``TickRow``s, so a sweep and the renderers build none."""
+
+    TEXT = "universe = 1,2,3\nturbulence.seed = 5\nturbulence.mean_segment_len = 6\nturbulence.horizon = 120\n"
+    KINDS = {
+        "static": "system.behavior = pur{1,2}\n",
+        "sensors": "system.behavior = pur{}\nsensors.a = {1,2} 0.1\nsensors.b = {3} 0.2\ncritical = {3}\n",
+        "controller": (
+            "system.behavior = pur{1,2}\ncontroller.predictor = majority:3\ncontroller.weight = 0.05\n"
+            "costs.figure = 0.1\ncapability.figures = 1,2,3\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sweep_and_run_build_no_row_until_one_is_read(self, monkeypatch, tmp_path, kind):
+        built = []
+        init = TickRow.__init__
+
+        def counting_init(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(TickRow, "__init__", counting_init)
+        reports = []
+        run = behaviorfit.cli.run_scenario
+
+        def keeping_run(scenario):
+            reports.append(run(scenario))
+            return reports[-1]
+
+        monkeypatch.setattr(behaviorfit.cli, "run_scenario", keeping_run)
+        path = tmp_path / "s.scenario"
+        path.write_text(self.TEXT + self.KINDS[kind])
+        out = str(tmp_path / "out")
+        for argv in (
+            ["sweep", "--scenario", str(path), "--seeds", "1..5", "--out", out],
+            ["run", "--scenario", str(path), "--format", "csv", "--out", out],
+            ["run", "--scenario", str(path), "--format", "json", "--out", out],
+        ):
+            assert behaviorfit.cli.main(argv) == 0
+            assert built == [], argv
+        assert len(reports) == 7 and len(reports[-1].rows) == 120
+        assert built == []
+        assert reports[-1].rows[0].t == 0
+        assert built == list(range(120))
+        # the rows are built once and kept
+        assert reports[-1].rows[-1] is reports[-1].rows[119]
+        assert len(built) == 120
+
+
+# Pools of objects that the runs of one drawn report pick from, so that
+# consecutive runs share some of their objects and not others.
+_pools = st.fixed_dictionaries({
+    "env": st.lists(behaviors(), min_size=1, max_size=3),
+    "sys": st.lists(behaviors(), min_size=1, max_size=3),
+    "supply": st.lists(supplies(), min_size=1, max_size=3),
+    "fit": st.lists(
+        st.one_of(st.just(NEG_INFINITY), st.floats(0, 1, exclude_min=True)), min_size=1, max_size=3
+    ),
+    "actions": st.lists(st.lists(texts, max_size=2).map(tuple), min_size=1, max_size=3),
+    "mode": st.lists(st.one_of(st.none(), st.floats(0, 1)), min_size=1, max_size=3),
+})
+# an int 0, as a sensor segment with no chosen sensor costs, and noisy floats
+_costs = st.one_of(st.just(0), st.sampled_from([0.1, 0.2, 0.3, 1e-07]), st.floats(0, 10))
+
+
+@st.composite
+def drawn_runs(draw) -> tuple[_Run, ...]:
+    """One to six contiguous runs of one to four ticks each, many of one
+    tick, at a fixed cost per run with the cumulative cost added up tick
+    by tick."""
+    pools = draw(_pools)
+    runs, start, cum = [], 0, 0.0
+    for _ in range(draw(st.integers(1, 6))):
+        shared = [draw(st.sampled_from(pools[field])) for field in ("env", "sys", "supply", "fit", "actions", "mode")]
+        n = draw(st.sampled_from([1, 1, 2, 3, 4]))
+        cost = draw(_costs)
+        cums = tuple(accumulate(repeat(cost, n), initial=cum))[1:]
+        runs.append(_Run(start, *shared, (cost,) * n, cums))
+        start, cum = start + n, cums[-1]
+    return tuple(runs)
+
+
+def _expanded(runs) -> tuple[TickRow, ...]:
+    return tuple(
+        TickRow(run.start + k, run.env, run.sys, run.supply, run.fit, run.actions,
+                run.costs[k], run.cum_costs[k], run.mode)
+        for run in runs
+        for k in range(len(run.costs))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_runs())
+def test_rows_read_as_the_tuple_of_their_expanded_rows(runs):
+    view, rows = _Rows(runs), _expanded(runs)
+    assert len(view) == len(rows)
+    assert view == rows and rows == view
+    assert not view != rows and not rows != view
+    assert view != list(rows) and list(rows) != view
+    assert hash(view) == hash(rows)
+    assert view == _Rows(runs) and view == _Rows(rows=rows) and _Rows(rows=rows) == view
+    n = len(rows)
+    for index in (0, n - 1, n // 2, -1, -n):
+        assert view[index] == rows[index]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[index]
+    for part in (slice(1, -1), slice(None, None, 2), slice(n, None)):
+        assert type(view[part]) is tuple and view[part] == rows[part]
+    assert list(view) == list(rows) and list(reversed(view)) == list(reversed(rows))
+    # the rows carry the runs' own objects
+    for built, row in zip(view, rows):
+        assert all(getattr(built, name) is getattr(row, name) for name in (
+            "env_behavior", "sys_behavior", "supply", "fit", "actions", "cost", "cum_cost", "mode"
+        ))
+
+
+def _bits(values) -> list:
+    return [(type(value), repr(value)) for value in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_runs())
+def test_a_report_of_runs_is_the_report_of_its_rows(runs):
+    rows = _expanded(runs)
+    summary = _summary(runs)
+    assert _bits(astuple(summary)) == _bits(frozen_summary(rows))
+    report = RunReport("r", _Rows(runs), summary)
+    # the renderers walk the runs; the frozen ones read the rows
+    assert render_csv(report) == frozen_csv(report)
+    assert render_json(report) == frozen_json(report)
+    from_rows = RunReport("r", rows, summary)
+    assert report == from_rows and from_rows == report and hash(report) == hash(from_rows)
+    assert replace(report, rows=tuple(report.rows)) == report
+    assert replace(from_rows, rows=list(rows)) == report
+    assert render_csv(from_rows) == render_csv(report)
+    assert render_json(from_rows) == render_json(report)
+    assert RunReport("r", rows[:-1], summary) != report
