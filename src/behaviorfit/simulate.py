@@ -2,19 +2,16 @@
 
 ``run_scenario`` walks the trace's segments, works out the awareness mode
 once per segment, and calls ``run_segment(segment, mode, level)`` once per
-segment, which emits the segment's runs: consecutive ticks that share the
-same behavior, supply, fit, actions and mode objects, with each tick's
-cost and cumulative cost. There is one segment function per kind of run,
-a closure built once per run. A static system and greedy sensor selection
-face one environment behavior for a whole segment, so they score, select
-and price it once and emit the segment as one run; a sensor run builds
-its ``greedy_cover`` once and asks it once per segment. The MAPE-K
-controller steps until its predictor's window is one run of the segment's
-behavior and a step leaves the state as it was, emitting one run per
-step; every later tick of the segment repeats that step, as one run. The
-controller scores a tick again only when the system behavior or the
-observation changes, so a step that keeps the last step's behavior within
-a segment returns that step's supply and fit objects too.
+segment, which emits the segment's runs: whole stretches of ticks whose
+rows are the same but for ``t``, ``cost`` and ``cum_cost``. There is one
+segment function per kind of run, a closure built once per run. A static
+system and greedy sensor selection face one environment behavior for a
+whole segment, so they score, select and price it once and emit the
+segment as one run; a sensor run builds its ``greedy_cover`` once and asks
+it once per segment. The MAPE-K controller steps until its predictor's
+window is one run of the segment's behavior and a step leaves the state
+as it was. Each acting step is a run; consecutive idle steps, and the
+later ticks of the segment that repeat them, are one.
 
 The summary is worked out from the runs, and ``RunReport.rows`` builds
 the ``TickRow``s from them only when first read, so a sweep, which reads
@@ -27,23 +24,22 @@ the actions cell joins action tokens with ``;`` and mode is empty unless
 the scenario defines sensors or critical figures. JSON rows carry the same
 keys in the same order.
 
-The renderers walk the runs, format a run's behaviors, supply, fit,
-actions and mode once per group of consecutive runs that share those
-objects (a controller's idle steps and the tail that repeats them form
-one), and write only ``t``, ``cost`` and ``cum_cost`` per tick.
-``render_json`` writes the text ``json.dumps(..., indent=2)`` would.
+Both renderers share one walk over the runs: each format writes a run's
+behaviors, supply, fit, actions and mode once, and only ``t``, ``cost``
+and ``cum_cost`` per tick. ``render_json`` writes the text
+``json.dumps(..., indent=2)`` would.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate, chain, count, groupby, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul, sub
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .behavior import Behavior, BehaviorClass, format_behavior
@@ -101,9 +97,9 @@ class RunSummary:
 
 
 class _Run(NamedTuple):
-    """Ticks ``start``, ``start + 1``, ... that share the behaviors, supply,
-    fit, actions and mode; ``costs[k]`` and ``cum_costs[k]`` are tick
-    ``start + k``'s, and there is at least one tick."""
+    """A whole stretch of ticks ``start``, ``start + 1``, ... of a segment
+    that share the behaviors, supply, fit, actions and mode; the sequences
+    ``costs`` and ``cum_costs`` hold tick ``start + k``'s at ``k``."""
 
     start: int
     env: Behavior
@@ -112,8 +108,8 @@ class _Run(NamedTuple):
     fit: float
     actions: tuple[str, ...]
     mode: float | None
-    costs: tuple[float, ...]
-    cum_costs: tuple[float, ...]
+    costs: Sequence[float]
+    cum_costs: Sequence[float]
 
 
 class _Rows(Sequence):
@@ -272,7 +268,7 @@ def _static_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
     return run_segment
 
 
-def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[_Run]]:
+def _controller_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
     controller = Controller(
         scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
     )
@@ -282,26 +278,30 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterator[_Run]]:
     def run_segment(segment, mode, level):
         nonlocal state
         env = segment.behavior
+        runs = []
         for t in range(segment.start, segment.end):
             before = state.cum_cost
             result = controller.step(state, env)
             state = result.state
-            actions = tuple(format_action(a) for a in result.actions)
-            yield _Run(t, env, state.behavior, result.supply, result.fit, actions, level,
-                       (state.cum_cost - before,), (state.cum_cost,))
-            if t - segment.start >= window and not actions:
+            if result.actions or not runs or runs[-1].actions:
+                runs.append(_Run(t, env, state.behavior, result.supply, result.fit,
+                                 tuple(map(format_action, result.actions)), level, [], []))
+            # an idle step keeps the state, and the segment the observation,
+            # so it extends the last step's run when that step was idle too
+            runs[-1].costs.append(state.cum_cost - before)
+            runs[-1].cum_costs.append(state.cum_cost)
+            if t - segment.start >= window and not result.actions:
                 break
-        else:
-            return
         # From tick ``window`` on the history holds only ``env``, so the
         # prediction is fixed; once a step is idle, every later step of the
         # segment would be the same idle step and would add the same cost.
         if t + 1 < segment.end:
             cums = tuple(accumulate(repeat(tick_cost(state, scenario.costs), segment.end - t - 1),
                                     initial=state.cum_cost))
-            yield _Run(t + 1, env, state.behavior, result.supply, result.fit, actions, level,
-                       tuple(map(sub, cums[1:], cums)), cums[1:])
+            runs[-1].costs.extend(map(sub, cums[1:], cums))
+            runs[-1].cum_costs.extend(cums[1:])
             state = replace(state, cum_cost=cums[-1])
+        return runs
 
     return run_segment
 
@@ -331,29 +331,31 @@ def _sensor_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
     return run_segment
 
 
-def _groups(report: RunReport) -> Iterator[tuple[_Run, Iterator[tuple[int, float, float]]]]:
-    """Groups of consecutive runs whose behaviors, supply, fit, actions and
-    mode are the same objects, so what a renderer makes of the first run
-    holds for the group: that run, and each tick of the group as
-    ``(t, cost, cum_cost)``."""
-    for _, group in groupby(report.rows.runs, lambda run: (
-        id(run.env), id(run.sys), id(run.supply), id(run.fit), id(run.actions), id(run.mode)
-    )):
-        group = list(group)
-        yield group[0], chain.from_iterable(zip(count(run.start), run.costs, run.cum_costs) for run in group)
+def _row_texts(report: RunReport, shared: Callable, number: Callable) -> list[str]:
+    """Each tick's row text. ``shared(run)`` gives, once per run, the text
+    before ``t``, before ``cost``, before ``cum_cost`` and after it, and
+    ``number`` writes the two costs."""
+    texts = []
+    for run in report.rows.runs:
+        before_t, before_cost, before_cum, after = shared(run)
+        texts.extend([f"{before_t}{t}{before_cost}{number(cost)}{before_cum}{number(cum)}{after}"
+                      for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs)])
+    return texts
 
 
 def render_csv(report: RunReport) -> str:
-    # behavior cells carry commas, so fields are quoted the standard way;
-    # csv writes floats as their repr and None as an empty cell
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for first, ticks in _groups(report):
-        shared = (format_behavior(first.env), format_behavior(first.sys),
-                  first.supply.kind.value, first.supply.value, first.fit, ";".join(first.actions))
-        writer.writerows((t, *shared, cost, cum, first.mode) for t, cost, cum in ticks)
-    return buffer.getvalue()
+    # behavior cells carry commas, so the shared cells are quoted the
+    # standard way, and csv writes floats as their repr. writerow returns
+    # what write returns: the line. With lineterminator="" csv would not
+    # quote a cell that holds "\n", so the line's "\n" is cut off instead.
+    cells = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+    def shared(run):
+        line = cells((format_behavior(run.env), format_behavior(run.sys), run.supply.kind.value,
+                      run.supply.value, run.fit, ";".join(run.actions)))
+        return "", f",{line[:-1]},", ",", ",\n" if run.mode is None else f",{run.mode!r}\n"
+
+    return "".join([",".join(CSV_COLUMNS) + "\n", *_row_texts(report, shared, repr)])
 
 
 def _json_value(value: str | int | float | None) -> str:
@@ -370,30 +372,28 @@ def _json_value(value: str | int | float | None) -> str:
     return int.__repr__(value)
 
 
+def _json_shared(run: _Run) -> tuple[str, str, str, str]:
+    tokens = ",\n".join(f"        {_json_value(token)}" for token in run.actions)
+    actions = f"[\n{tokens}\n      ]" if tokens else "[]"
+    fit_value = "-inf" if run.fit == NEG_INFINITY else run.fit
+    return (
+        '    {\n      "t": ',
+        f',\n      "env_behavior": {_json_value(format_behavior(run.env))}'
+        f',\n      "sys_behavior": {_json_value(format_behavior(run.sys))}'
+        f',\n      "supply_kind": {_json_value(run.supply.kind.value)}'
+        f',\n      "supply": {_json_value(run.supply.value)}'
+        f',\n      "fit": {_json_value(fit_value)}'
+        f',\n      "actions": {actions},\n      "cost": ',
+        ',\n      "cum_cost": ',
+        f',\n      "mode": {_json_value(run.mode)}\n    }}',
+    )
+
+
 def render_json(report: RunReport) -> str:
     """The report as ``json.dumps(..., indent=2)`` writes its name, summary
     and rows (each row's keys in ``CSV_COLUMNS`` order, a fit of negative
     infinity as ``"-inf"``), plus a newline."""
     summary = ",\n".join(f'    "{key}": {_json_value(value)}' for key, value in asdict(report.summary).items())
-    rows = []
-    for first, ticks in _groups(report):
-        tokens = ",\n".join(f"        {_json_value(token)}" for token in first.actions)
-        actions = f"[\n{tokens}\n      ]" if tokens else "[]"
-        fit_value = "-inf" if first.fit == NEG_INFINITY else first.fit
-        middle = (
-            f',\n      "env_behavior": {_json_value(format_behavior(first.env))}'
-            f',\n      "sys_behavior": {_json_value(format_behavior(first.sys))}'
-            f',\n      "supply_kind": {_json_value(first.supply.kind.value)}'
-            f',\n      "supply": {_json_value(first.supply.value)}'
-            f',\n      "fit": {_json_value(fit_value)}'
-            f',\n      "actions": {actions}'
-            ',\n      "cost": '
-        )
-        tail = f',\n      "mode": {_json_value(first.mode)}\n    }}'
-        rows.extend(
-            f'    {{\n      "t": {t}{middle}{_json_value(cost)}'
-            f',\n      "cum_cost": {_json_value(cum)}{tail}'
-            for t, cost, cum in ticks
-        )
-    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    rows = _row_texts(report, _json_shared, _json_value)
+    body = "".join(("[\n", ",\n".join(rows), "\n  ]")) if rows else "[]"
     return f'{{\n  "name": {_json_value(report.name)},\n  "summary": {{\n{summary}\n  }},\n  "rows": {body}\n}}\n'

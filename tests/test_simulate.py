@@ -2,7 +2,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import astuple, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from pathlib import Path
 
 import pytest
@@ -35,6 +35,7 @@ from behaviorfit import (
 )
 from behaviorfit.simulate import _Rows, _Run, _summary
 from conftest import behaviors, frozen_csv, frozen_json, frozen_summary
+from test_golden import CONTROLLER, PREDICTORS, ROOT
 
 LN3 = math.log(3)
 
@@ -290,6 +291,45 @@ class TestControllerSegments:
                     assert row.actions == ()
                     assert (row.sys_behavior, row.supply, row.fit) == (idle.sys_behavior, idle.supply, idle.fit)
         assert skipped > len(rows) // 3
+
+
+class TestWholeRuns:
+    """A run is a whole stretch of ticks within one segment whose rows are
+    equal but for ``t``, ``cost`` and ``cum_cost``: a controller's
+    consecutive idle steps and the idle tail that repeats them are one run."""
+
+    SCENARIOS = {
+        **{f"golden-{label}": CONTROLLER.format(predictor=predictor) for label, predictor in PREDICTORS.items()},
+        "canary": None,
+    }
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_runs_are_the_groups_of_equal_rows_within_segments(self, name):
+        text = self.SCENARIOS[name]
+        scenario = parse_scenario(text) if text else load_scenario(ROOT / "scenarios" / "canary.scenario")
+        report = run_scenario(scenario)
+        segments = scenario_trace(scenario).segments
+        runs = report.rows.runs
+        segment_of = [
+            next(k for k, segment in enumerate(segments) if segment.start <= run.start < segment.end)
+            for run in runs
+        ]
+        for run, k in zip(runs, segment_of):
+            assert run.start + len(run.costs) <= segments[k].end
+        idle_pairs = [
+            (a.start, b.start)
+            for a, b, ka, kb in zip(runs, runs[1:], segment_of, segment_of[1:])
+            if ka == kb and not a.actions and not b.actions
+        ]
+        assert idle_pairs == []
+
+        def shared(row):
+            return (row.env_behavior, row.sys_behavior, row.supply, row.fit, row.actions, row.mode)
+
+        groups = sum(len(list(groupby(report.rows[s.start:s.end], key=shared))) for s in segments)
+        assert len(runs) == groups
+        # the scenario has idle stretches longer than one tick to merge
+        assert len(runs) < len(report.rows) - len(segments)
 
 
 class TestRendering:
