@@ -10,9 +10,8 @@ cost-adjusted fit against the prediction.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from dataclasses import dataclass, field, fields, replace
-from itertools import chain, repeat
+from collections import deque
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Mapping, Sequence
 
 from .behavior import Behavior, BehaviorClass
@@ -130,15 +129,22 @@ def predict(
 ) -> Behavior:
     """Predicted next environment behavior from past observations, given
     as ``(behavior, ticks)`` runs, oldest first; only the newest
-    ``predictor.window`` ticks are read. A window of one run predicts that
-    run's behavior, and in a majority vote a figure or class counts once
-    per tick of each run that holds it."""
+    ``predictor.window`` ticks are read. Persistence predicts the newest
+    observation. In a majority vote a figure or class counts once per tick
+    of each run that holds it, so the prediction always names its figures.
+
+    The votes are counted against the heaviest run (the newest of the
+    heaviest): only the figures another run disagrees with it on can leave
+    or join its set. When none does and its class wins, the prediction is
+    that run's behavior itself, as it is for a window of one scoped run."""
     if not predictor.window:
         if oracle_next is None:
             raise ValueError("oracle predictor needs oracle_next")
         return oracle_next
     if not runs:
         raise ValueError("cannot predict from an empty history")
+    if isinstance(predictor, Persistence):
+        return runs[-1][0]
     # the newest runs holding ``predictor.window`` ticks, newest first
     window = []
     left = predictor.window
@@ -147,17 +153,26 @@ def predict(
         left -= n
         if left <= 0:
             break
-    if len(window) == 1:
+    if len(window) == 1 and window[0][0].figures is not None:
         return window[0][0]
-    votes = Counter(chain.from_iterable(chain.from_iterable(repeat(obs.figures or (), n) for obs, n in window)))
     ticks = predictor.window - max(left, 0)
-    figures = frozenset(f for f, n in votes.items() if 2 * n >= ticks)
-    klasses: Counter[BehaviorClass] = Counter()
-    for obs, n in window:
-        klasses[obs.klass] += n
+    base = max(window, key=lambda run: run[1])[0]
+    base_figures = base.figures or frozenset()
+    # ``away[f]``: ticks whose observation disagrees with ``base`` on f
+    away: dict[str, int] = {}
     # counted newest first, so the first class with the top count is the most recent
+    klasses: dict[BehaviorClass, int] = {}
+    for obs, n in window:
+        klasses[obs.klass] = klasses.get(obs.klass, 0) + n
+        for f in base_figures.symmetric_difference(obs.figures or ()):
+            away[f] = away.get(f, 0) + n
+    # a figure is predicted iff 2 * votes >= ticks: one of base's leaves iff
+    # 2 * away > ticks, and any other joins iff 2 * away >= ticks
+    flipped = {f for f, n in away.items() if (2 * n > ticks if f in base_figures else 2 * n >= ticks)}
     klass = max(klasses, key=klasses.__getitem__)
-    return Behavior(klass, figures=figures)
+    if not flipped and klass is base.klass and base.figures is not None:
+        return base
+    return Behavior(klass, figures=base_figures.symmetric_difference(flipped))
 
 
 @dataclass(frozen=True)
@@ -205,7 +220,7 @@ def format_action(action: AdaptationAction) -> str:
 def tick_cost(state: SystemState, costs: CostModel) -> float:
     """Operating cost of holding the state for one tick."""
     return (
-        costs.figure_cost * len(state.local_figures)
+        costs.figure_cost * (len(state.behavior.figures) - len(state.borrowed))
         + costs.borrow_cost * len(state.borrowed)
         + costs.class_cost * state.behavior.klass
     )
@@ -362,7 +377,7 @@ class Controller:
                     self._idle_inputs = inputs
         new_state = apply_actions(state, actions, self.capability) if actions else state
         cost = tick_cost(new_state, self.costs) + self.costs.switch_cost * len(actions)
-        new_state = replace(new_state, cum_cost=state.cum_cost + cost)
+        new_state = SystemState(new_state.behavior, new_state.borrowed, state.cum_cost + cost)
         scored = (new_state.behavior, observed_env, self.variant)
         if scored != self._scored[0]:
             report = supply(new_state.behavior, observed_env)

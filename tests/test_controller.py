@@ -31,14 +31,17 @@ from behaviorfit import (
     fit,
     format_action,
     generate_trace,
+    parse_scenario,
     plan_adaptation,
     predict,
+    run_scenario,
+    scenario_trace,
     supply,
     tick_cost,
     parse_behavior as b,
 )
 
-from conftest import runs_of
+from conftest import bench_module, runs_of
 
 FULL_CAP = Capability(frozenset("12345"))
 
@@ -530,12 +533,72 @@ _tied_histories = st.lists(st.tuples(_tied_observations, st.integers(1, 3)), min
 )
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.sampled_from([Persistence()]) | st.integers(1, 8).map(WindowMajority), _tied_histories)
+# Observations over eight figures, so the runs of a window share some
+# figures and dispute others, plus an unscoped and an arity observation,
+# which vote for no figure.
+_observations = st.builds(
+    Behavior,
+    st.sampled_from([BehaviorClass.PURPOSEFUL, BehaviorClass.REACTIVE, BehaviorClass.PROACTIVE]),
+    figures=st.frozensets(st.sampled_from("12345678")),
+) | st.sampled_from([b("rea"), b("pro^2")])
+
+
+@st.composite
+def _disputed_histories(draw):
+    """Runs drawn from a pool of up to four observations, so one object
+    can hold two runs that are not adjacent."""
+    pool = draw(st.lists(_observations, min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), min_size=1, max_size=8))
+    return [obs for obs, ticks in runs for _ in range(ticks)]
+
+
+_SHARED = b("pur{1,2,3,4,5,6}")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from([Persistence()]) | st.integers(1, 8).map(WindowMajority),
+    _tied_histories | _disputed_histories(),
+)
 @example(WindowMajority(3), [b("rea{1}"), b("pur{2}"), b("pur{2}"), b("rea{1,2}"), b("rea{1,2}")])
 @example(WindowMajority(4), [b("pur{1}")] * 3 + [b("rea{2}")] * 2 + [b("pur{1}")] * 2)
+# one object in two runs that are not adjacent
+@example(WindowMajority(5), [_SHARED] * 2 + [b("pur{1,7}")] * 2 + [_SHARED])
+# two runs tie for the most ticks, and a figure of the newer one is tied
+@example(WindowMajority(4), [b("rea{1,2,3}")] * 2 + [b("pur{3,4,5}")] * 2)
+# the heaviest run names no figures, and a majority names them all the same
+@example(WindowMajority(3), [b("rea")] * 3)
+@example(WindowMajority(4), [b("pur{1}")] + [b("rea")] * 3)
+@example(WindowMajority(5), [b("pro{1,2}")] * 2 + [b("pro^2")] * 3)
 def test_predict_over_runs_matches_the_per_tick_predict(predictor, history):
     assert predict(predictor, runs_of(history)) == frozen_predict(predictor, history)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_controller_long_run_matches_the_reference_steps(seed):
+    # the benchmark's controller workload, shortened: 32 figures,
+    # majority:5 and two lenders, checked against the per-tick reference,
+    # which shares neither Controller nor predict with the program
+    workloads = bench_module("workloads")
+    scenario = parse_scenario(workloads.scenario_text(workloads.WORKLOADS["controller-long"], seed, horizon=300))
+    assert (len(scenario.universe), scenario.predictor, len(scenario.capability.peer_figures)) == (
+        32, WindowMajority(5), 2,
+    )
+    trace = scenario_trace(scenario, seed)
+    report = run_scenario(replace(scenario, trace=trace, turbulence=None))
+    expected, before = [], 0.0
+    for result in reference_steps(
+        trace, SystemState(scenario.initial_behavior), scenario.capability, scenario.costs,
+        scenario.predictor, scenario.weight, scenario.variant,
+    ):
+        cum = result.state.cum_cost
+        expected.append((
+            result.state.behavior, tuple(map(format_action, result.actions)), result.supply, result.fit,
+            cum - before, cum,
+        ))
+        before = cum
+    assert [(row.sys_behavior, row.actions, row.supply, row.fit, row.cost, row.cum_cost)
+            for row in report.rows] == expected
 
 
 # ``SystemState.borrowed`` once mapped each peer to the set of figures it
