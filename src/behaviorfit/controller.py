@@ -357,8 +357,10 @@ class Controller:
     def step(
         self, state: SystemState, observed_env: Behavior, oracle_next: Behavior | None = None
     ) -> StepResult:
-        """One tick of the loop; raises ValueError if the state holds a
-        figure from a peer that does not lend it."""
+        """One tick of the loop; raises ValueError, changing nothing, if the
+        observation names no figures or a peer does not lend a held figure."""
+        if observed_env.figures is None:
+            raise ValueError("environment behaviors must name their figures")
         for figure, peer in state.borrowed.items():
             if figure not in self.capability.peer_figures.get(peer, ()):
                 raise ValueError(f"peer {peer!r} does not lend figure {figure!r}")

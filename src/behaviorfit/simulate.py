@@ -1,17 +1,17 @@
 """Scenario simulation loop and CSV/JSON reporting.
 
-``run_scenario`` walks the trace's segments, works out the awareness mode
-once per segment, and calls ``run_segment(segment, mode, level)`` once per
-segment, which emits the segment's runs: whole stretches of ticks whose
-rows are the same but for ``t``, ``cost`` and ``cum_cost``. There is one
-segment function per kind of run, a closure built once per run. A static
-system and greedy sensor selection face one environment behavior for a
-whole segment, so they score, select and price it once and emit the
-segment as one run; a sensor run builds its ``greedy_cover`` once and asks
-it once per segment. The MAPE-K controller steps until its predictor's
-window is one run of the segment's behavior and a step leaves the state
-as it was. Each acting step is a run; consecutive idle steps, and the
-later ticks of the segment that repeat them, are one.
+``run_scenario`` works out each segment's situation, ``(segment, mode,
+level)`` with the awareness mode, once, and hands the situations to the
+generator for its kind of run, which yields the segment's runs: whole
+stretches of ticks whose rows are the same but for ``t``, ``cost`` and
+``cum_cost``. A static system and greedy sensor selection face one
+environment behavior for a whole segment, so they score, select and price
+it once and yield the segment as one run; a sensor run builds its
+``greedy_cover`` once and asks it once per segment. The MAPE-K controller
+steps until its predictor's window is one run of the segment's behavior
+and a step leaves the state as it was. Each acting step is a run;
+consecutive idle steps, and the later ticks of the segment that repeat
+them, are one.
 
 The summary is worked out from the runs, and ``RunReport.rows`` builds
 the ``TickRow``s from them only when first read, so a sweep, which reads
@@ -40,7 +40,7 @@ from itertools import accumulate, chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul, sub
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .behavior import Behavior, BehaviorClass, format_behavior
 from .controller import Controller, SystemState, format_action, tick_cost
@@ -113,40 +113,27 @@ class _Run(NamedTuple):
 
 
 class _Rows(Sequence):
-    """A read-only sequence of ``TickRow``s, kept as runs, as rows or as
-    both: each form is built from the other on first use and kept. Rows
-    built from runs share the runs' objects; a tuple of rows reads as
-    one-tick runs. ``==`` and ``hash`` are those of the tuple of rows."""
+    """The read-only sequence of ``TickRow``s that ``runs`` expand to,
+    built on first read and kept. The rows share the runs' objects.
+    ``==`` and ``hash`` are those of the tuple of rows."""
 
-    __slots__ = ("_runs", "_rows")
+    __slots__ = ("runs", "_rows")
 
-    def __init__(self, runs: tuple[_Run, ...] | None = None, rows: tuple[TickRow, ...] | None = None):
-        self._runs = runs
-        self._rows = rows
-
-    @property
-    def runs(self) -> tuple[_Run, ...]:
-        if self._runs is None:
-            self._runs = tuple(
-                _Run(row.t, row.env_behavior, row.sys_behavior, row.supply, row.fit, row.actions, row.mode,
-                     (row.cost,), (row.cum_cost,))
-                for row in self._rows
-            )
-        return self._runs
+    def __init__(self, runs: tuple[_Run, ...]):
+        self.runs = runs
+        self._rows = None
 
     def _tuple(self) -> tuple[TickRow, ...]:
         if self._rows is None:
             self._rows = tuple(
                 TickRow(t, run.env, run.sys, run.supply, run.fit, run.actions, cost, cum, run.mode)
-                for run in self._runs
+                for run in self.runs
                 for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs)
             )
         return self._rows
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        return sum(len(run.costs) for run in self._runs)
+        return sum(len(run.costs) for run in self.runs)
 
     def __getitem__(self, index):
         return self._tuple()[index]
@@ -168,10 +155,10 @@ class _Rows(Sequence):
 class RunReport:
     """A run's name, its rows and its summary.
 
-    ``rows`` is a read-only sequence of ``TickRow``s that compares and
-    hashes as their tuple. ``run_scenario``'s report keeps the run's ticks
-    as runs and builds the rows only when they are first read. Rows given
-    as a tuple (or any iterable) are kept as that tuple."""
+    ``rows`` is a read-only sequence of ``TickRow``s, kept as runs, that
+    compares and hashes as their tuple and is built only when first read.
+    Rows given as a sequence (or any iterable) are kept as one-tick runs,
+    and read back as equal, new ``TickRow``s."""
 
     name: str
     rows: Sequence[TickRow]
@@ -179,7 +166,11 @@ class RunReport:
 
     def __post_init__(self):
         if not isinstance(self.rows, _Rows):
-            object.__setattr__(self, "rows", _Rows(rows=tuple(self.rows)))
+            object.__setattr__(self, "rows", _Rows(tuple(
+                _Run(row.t, row.env_behavior, row.sys_behavior, row.supply, row.fit, row.actions, row.mode,
+                     (row.cost,), (row.cum_cost,))
+                for row in self.rows
+            )))
 
 
 def fig2_scenario() -> Scenario:
@@ -232,19 +223,21 @@ def run_scenario(scenario: Scenario) -> RunReport:
     violations = validate_scenario(scenario)
     if violations:
         raise ScenarioError("scenario is invalid:\n" + "\n".join(violations))
-    trace = scenario_trace(scenario)
-    if scenario.sensors:
-        run_segment = _sensor_segment(scenario)
-    elif scenario.predictor is not None:
-        run_segment = _controller_segment(scenario)
-    else:
-        run_segment = _static_segment(scenario)
     with_mode = bool(scenario.sensors or scenario.critical)
-    runs = []
-    for segment in trace.segments:
-        mode = awareness_mode(segment.behavior.figures, scenario.critical) if with_mode else None
-        runs.extend(run_segment(segment, mode, mode.level if mode is not None else None))
-    runs = tuple(runs)
+    # the monitor stage every kind of run shares: each segment's awareness
+    # mode, worked out once, just before the segment's runs
+    situations = (
+        (segment, mode, mode.level if mode is not None else None)
+        for segment in scenario_trace(scenario).segments
+        for mode in [awareness_mode(segment.behavior.figures, scenario.critical) if with_mode else None]
+    )
+    if scenario.sensors:
+        kind = _sensor_runs
+    elif scenario.predictor is not None:
+        kind = _controller_runs
+    else:
+        kind = _static_runs
+    runs = tuple(kind(scenario, situations))
     summary = _summary(runs)
     # costs are non-negative and cum_cost never falls, so a finite total
     # means every row's cost and cum_cost is finite too
@@ -253,30 +246,25 @@ def run_scenario(scenario: Scenario) -> RunReport:
     return RunReport(scenario.name, _Rows(runs), summary)
 
 
-def _static_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
+def _static_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_Run]:
     behavior, variant = scenario.initial_behavior, scenario.variant
     cost = tick_cost(SystemState(behavior), scenario.costs)
-
-    def run_segment(segment, mode, level):
+    for segment, mode, level in situations:
         env = segment.behavior
         report = supply(behavior, env)
         # tick t's cum_cost is cost * (t + 1)
         cums = tuple(map(mul, repeat(cost), range(segment.start + 1, segment.end + 1)))
-        return (_Run(segment.start, env, behavior, report, fit(report, variant), (), level,
-                     (cost,) * segment.duration, cums),)
-
-    return run_segment
+        yield _Run(segment.start, env, behavior, report, fit(report, variant), (), level,
+                   (cost,) * segment.duration, cums)
 
 
-def _controller_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
+def _controller_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_Run]:
     controller = Controller(
         scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
     )
     state = SystemState(scenario.initial_behavior)
     window = controller.predictor.window
-
-    def run_segment(segment, mode, level):
-        nonlocal state
+    for segment, mode, level in situations:
         env = segment.behavior
         runs = []
         for t in range(segment.start, segment.end):
@@ -301,19 +289,15 @@ def _controller_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
             runs[-1].costs.extend(map(sub, cums[1:], cums))
             runs[-1].cum_costs.extend(cums[1:])
             state = replace(state, cum_cost=cums[-1])
-        return runs
-
-    return run_segment
+        yield from runs
 
 
-def _sensor_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
+def _sensor_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_Run]:
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
     cover = greedy_cover(scenario.sensors)
     variant = scenario.variant
     cum = 0.0
-
-    def run_segment(segment, mode, level):
-        nonlocal cum
+    for segment, mode, level in situations:
         env = segment.behavior
         chosen = sorted(cover(required_coverage(env.figures, scenario.critical, mode)))
         # The sensed behavior mirrors the environment's class: the network
@@ -325,10 +309,8 @@ def _sensor_segment(scenario: Scenario) -> Callable[..., Iterable[_Run]]:
         cums = tuple(islice(accumulate(repeat(cost, segment.duration), initial=cum), 1, None))
         cum = cums[-1]
         actions = tuple(f"activate:{i}" for i in chosen)
-        return (_Run(segment.start, env, system, report, fit(report, variant), actions, level,
-                     (cost,) * segment.duration, cums),)
-
-    return run_segment
+        yield _Run(segment.start, env, system, report, fit(report, variant), actions, level,
+                   (cost,) * segment.duration, cums)
 
 
 def _row_texts(report: RunReport, shared: Callable, number: Callable) -> list[str]:

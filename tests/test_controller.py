@@ -342,8 +342,7 @@ def reference_step(state, history, env, capability, costs, predictor, weight, va
     actions = []
     if history or isinstance(predictor, Oracle):
         prediction = frozen_predict(predictor, history, env)
-        if prediction.figures is not None:
-            actions = plan_adaptation(state, prediction, capability, costs, weight, variant)
+        actions = plan_adaptation(state, prediction, capability, costs, weight, variant)
     post = apply_actions(state, actions, capability)
     cost = tick_cost(post, costs) + costs.switch_cost * len(actions)
     post = replace(post, cum_cost=state.cum_cost + cost)
@@ -491,6 +490,17 @@ def test_history_holds_only_the_predictor_window(predictor, window):
     for t in range(trace.horizon):
         state = controller.step(state, trace.behavior_at(t)).state
     assert _ticks(controller.history) == [trace.behavior_at(t) for t in range(trace.horizon - window, trace.horizon)]
+
+
+@pytest.mark.parametrize("predictor", [Persistence(), WindowMajority(2), Oracle()], ids=repr)
+@pytest.mark.parametrize("observed", ["rea", "pro^2"])
+def test_step_refuses_an_observation_that_names_no_figures(predictor, observed):
+    controller = Controller(FULL_CAP, predictor=predictor)
+    state = controller.step(SystemState(b("pur{1}")), b("pur{1,2}")).state
+    kept = ([list(run) for run in controller.history], controller._idle_inputs, controller._scored)
+    with pytest.raises(ValueError, match="^environment behaviors must name their figures$"):
+        controller.step(state, b(observed))
+    assert ([list(run) for run in controller.history], controller._idle_inputs, controller._scored) == kept
 
 
 def _majority_by_loop_and_scan(window_size, history):

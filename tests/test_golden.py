@@ -5,6 +5,10 @@ Each case is one ``behaviorfit`` command line; its output must equal
 intended output change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,8 @@ from behaviorfit.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden"
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.scenario"))
+# the versions the CI matrix runs
+SUPPORTED_PYTHONS = ["3.10", "3.11", "3.12", "3.13"]
 
 # A generated-trace controller scenario with peers to borrow from, a class
 # cost and critical figures, so borrows, class actions and the mode column
@@ -69,6 +75,46 @@ def cli_output(name: str, workdir: Path) -> bytes:
 def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli_output(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def _interpreter(version: str) -> str | None:
+    """A ``python3.X`` that runs and reports ``version``: the one on
+    ``PATH``, else a pyenv install under ``$PYENV_ROOT`` (``~/.pyenv``)."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    for candidate in [shutil.which(f"python{version}"), *sorted(root.glob(f"versions/{version}.*/bin/python3"))]:
+        if candidate is None:
+            continue
+        probe = subprocess.run(
+            [candidate, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            return str(candidate)
+    return None
+
+
+# Runs every case in the child interpreter, which need not have pytest:
+# reads {name: argv} as JSON and writes each output to the file ``name``.
+CHILD = """\
+import json, sys
+from behaviorfit.cli import main
+sys.exit(any([main([*argv, "--out", name]) for name, argv in json.load(sys.stdin).items()]))
+"""
+
+
+@pytest.mark.parametrize("version", SUPPORTED_PYTHONS)
+def test_every_supported_python_writes_the_golden_bytes(version, tmp_path):
+    python = _interpreter(version)
+    if python is None:
+        pytest.skip(f"no Python {version} interpreter found")
+    for label, predictor in PREDICTORS.items():
+        (tmp_path / f"controller-{label}.scenario").write_text(CONTROLLER.format(predictor=predictor))
+    child = subprocess.run(
+        [python, "-c", CHILD], input=json.dumps(CASES), cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert [name for name in CASES if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()] == []
 
 
 def test_golden_files_are_exactly_the_cases():

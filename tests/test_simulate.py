@@ -551,7 +551,8 @@ def test_rows_read_as_the_tuple_of_their_expanded_rows(runs):
     assert not view != rows and not rows != view
     assert view != list(rows) and list(rows) != view
     assert hash(view) == hash(rows)
-    assert view == _Rows(runs) and view == _Rows(rows=rows) and _Rows(rows=rows) == view
+    from_rows = RunReport("r", rows, _summary(runs)).rows
+    assert view == _Rows(runs) and view == from_rows and from_rows == view
     n = len(rows)
     for index in (0, n - 1, n // 2, -1, -n):
         assert view[index] == rows[index]
@@ -583,6 +584,13 @@ def test_a_report_of_runs_is_the_report_of_its_rows(runs):
     assert render_csv(report) == frozen_csv(report)
     assert render_json(report) == frozen_json(report)
     from_rows = RunReport("r", rows, summary)
+    # a report built from rows keeps each row as a one-tick run
+    assert [tuple(run) for run in from_rows.rows.runs] == [
+        (row.t, row.env_behavior, row.sys_behavior, row.supply, row.fit, row.actions, row.mode,
+         (row.cost,), (row.cum_cost,))
+        for row in rows
+    ]
+    assert all(type(run) is _Run for run in from_rows.rows.runs)
     assert report == from_rows and from_rows == report and hash(report) == hash(from_rows)
     assert replace(report, rows=tuple(report.rows)) == report
     assert replace(from_rows, rows=list(rows)) == report
