@@ -133,10 +133,10 @@ def predict(
     observation. In a majority vote a figure or class counts once per tick
     of each run that holds it, so the prediction always names its figures.
 
-    The votes are counted against the heaviest run (the newest of the
-    heaviest): only the figures another run disagrees with it on can leave
-    or join its set. When none does and its class wins, the prediction is
-    that run's behavior itself, as it is for a window of one scoped run."""
+    The heaviest run (the newest of the heaviest) is the prediction if it
+    holds a strict majority of the ticks and names its figures. Otherwise
+    only the figures another run disputes with it can leave or join its
+    set, and if none does and its class wins, it is still the prediction."""
     if not predictor.window:
         if oracle_next is None:
             raise ValueError("oracle predictor needs oracle_next")
@@ -153,10 +153,10 @@ def predict(
         left -= n
         if left <= 0:
             break
-    if len(window) == 1 and window[0][0].figures is not None:
-        return window[0][0]
     ticks = predictor.window - max(left, 0)
-    base = max(window, key=lambda run: run[1])[0]
+    base, heaviest = max(window, key=lambda run: run[1])
+    if 2 * heaviest > ticks and base.figures is not None:
+        return base
     base_figures = base.figures or frozenset()
     # ``away[f]``: ticks whose observation disagrees with ``base`` on f
     away: dict[str, int] = {}
@@ -325,7 +325,8 @@ class Controller:
 
     ``history`` holds the window as ``[behavior, ticks]`` runs of equal
     consecutive observations, oldest first and at most ``window`` ticks in
-    all, so an observation that repeats the last one costs O(1).
+    all: a repeated observation costs O(1), and after a step ``repeats``
+    takes the whole stretch of ticks that would repeat an idle step at once.
 
     A plan depends only on the state's behavior and borrowings, the
     prediction and the controller's settings, so the controller remembers
@@ -353,6 +354,7 @@ class Controller:
         self._held = 0
         self._idle_inputs: tuple | None = None
         self._scored: tuple = (None, None, None)
+        self._last: tuple = (None, None)
 
     def step(
         self, state: SystemState, observed_env: Behavior, oracle_next: Behavior | None = None
@@ -367,6 +369,7 @@ class Controller:
         actions: list[AdaptationAction] = []
         if self.history or not self.predictor.window:
             prediction = predict(self.predictor, self.history, oracle_next or observed_env)
+            self._last = (prediction, observed_env)
             inputs = (
                 state.behavior, state.borrowed, prediction,
                 self.capability, self.costs, self.weight, self.variant,
@@ -388,19 +391,42 @@ class Controller:
         self._observe(observed_env)
         return StepResult(new_state, report, fit_value, tuple(actions))
 
-    def _observe(self, behavior: Behavior) -> None:
-        """Add one tick of ``behavior`` to the newest run, or start a run
-        with it, and trim the oldest tick beyond the window."""
-        if not self.predictor.window:
+    def repeats(self, limit: int) -> int:
+        """Right after a step, how many of the next ``limit`` ticks facing
+        its observation with no lookahead would repeat an idle step of the
+        state it returned, observed at once: as the greedy plan is
+        idempotent, those whose prediction is still the step's."""
+        prediction, observed = self._last
+        window, held, older = self.predictor.window, self._held, 0
+        count = limit if not window and prediction is not None and prediction == observed else 0
+        for k, (obs, n) in enumerate(self.history):
+            if 2 * n > held:
+                # the step's prediction holds while this run keeps a strict majority:
+                # the newest run only grows; another shrinks once older runs are trimmed
+                if obs == prediction:
+                    count = limit if k == len(self.history) - 1 else next((
+                        j for j in range(limit)
+                        if 2 * (n - max(0, held + j - window - older)) <= min(held + j, window)
+                    ), limit)
+                break
+            older += n
+        if count:
+            self._observe(observed, count)
+        return count
+
+    def _observe(self, behavior: Behavior, ticks: int = 1) -> None:
+        """Add ``ticks`` ticks of ``behavior`` to the newest run, or start a
+        run with them, and trim the oldest ticks beyond the window."""
+        window, runs = self.predictor.window, self.history
+        if not window:
             return
-        runs = self.history
         if runs and runs[-1][0] == behavior:
-            runs[-1][1] += 1
+            runs[-1][1] += ticks
         else:
-            runs.append([behavior, 1])
-        if self._held < self.predictor.window:
-            self._held += 1
-        else:
-            runs[0][1] -= 1
-            if not runs[0][1]:
-                runs.popleft()
+            runs.append([behavior, ticks])
+        self._held += ticks
+        while self._held - runs[0][1] >= window:
+            self._held -= runs.popleft()[1]
+        if self._held > window:
+            runs[0][1] -= self._held - window
+            self._held = window

@@ -8,10 +8,10 @@ stretches of ticks whose rows are the same but for ``t``, ``cost`` and
 environment behavior for a whole segment, so they score, select and price
 it once and yield the segment as one run; a sensor run builds its
 ``greedy_cover`` once and asks it once per segment. The MAPE-K controller
-steps until its predictor's window is one run of the segment's behavior
-and a step leaves the state as it was. Each acting step is a run;
-consecutive idle steps, and the later ticks of the segment that repeat
-them, are one.
+steps only the ticks where its prediction can change: after each step it
+takes the ticks that would repeat an idle step of the state in one go
+(``Controller.repeats``). Each acting step is a run; idle steps in a row,
+and the ticks that repeat them, are one.
 
 The summary is worked out from the runs, and ``RunReport.rows`` builds
 the ``TickRow``s from them only when first read, so a sweep, which reads
@@ -263,11 +263,11 @@ def _controller_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterato
         scenario.capability, scenario.costs, scenario.predictor, scenario.weight, scenario.variant
     )
     state = SystemState(scenario.initial_behavior)
-    window = controller.predictor.window
     for segment, mode, level in situations:
         env = segment.behavior
         runs = []
-        for t in range(segment.start, segment.end):
+        t = segment.start
+        while t < segment.end:
             before = state.cum_cost
             result = controller.step(state, env)
             state = result.state
@@ -278,17 +278,16 @@ def _controller_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterato
             # so it extends the last step's run when that step was idle too
             runs[-1].costs.append(state.cum_cost - before)
             runs[-1].cum_costs.append(state.cum_cost)
-            if t - segment.start >= window and not result.actions:
-                break
-        # From tick ``window`` on the history holds only ``env``, so the
-        # prediction is fixed; once a step is idle, every later step of the
-        # segment would be the same idle step and would add the same cost.
-        if t + 1 < segment.end:
-            cums = tuple(accumulate(repeat(tick_cost(state, scenario.costs), segment.end - t - 1),
-                                    initial=state.cum_cost))
-            runs[-1].costs.extend(map(sub, cums[1:], cums))
-            runs[-1].cum_costs.extend(cums[1:])
-            state = replace(state, cum_cost=cums[-1])
+            t += 1
+            # the ticks that would repeat an idle step join one idle run, priced as steps
+            if n := controller.repeats(segment.end - t):
+                if runs[-1].actions:
+                    runs.append(_Run(t, env, state.behavior, result.supply, result.fit, (), level, [], []))
+                cums = tuple(accumulate(repeat(tick_cost(state, scenario.costs), n), initial=state.cum_cost))
+                runs[-1].costs.extend(map(sub, cums[1:], cums))
+                runs[-1].cum_costs.extend(cums[1:])
+                state = SystemState(state.behavior, state.borrowed, cums[-1])
+                t += n
         yield from runs
 
 

@@ -20,6 +20,7 @@ from behaviorfit import (
     Oracle,
     Persistence,
     ReturnFigure,
+    Scenario,
     SetClass,
     StepResult,
     SystemState,
@@ -66,6 +67,17 @@ class TestPredict:
     def test_window_majority_class_tie_is_most_recent(self):
         history = [b("rea{1}"), b("pur{1}"), b("rea{1}"), b("pur{1}")]
         assert predict(WindowMajority(4), runs_of(history)).klass is BehaviorClass.PURPOSEFUL
+
+    def test_window_majority_without_a_strict_majority_votes_and_a_tie_joins(self):
+        # two runs of two ticks: the heaviest run has no strict majority, so
+        # the full vote runs and the older run's tied figure joins
+        history = [b("pur{1}")] * 2 + [b("pur{2}")] * 2
+        assert predict(WindowMajority(4), runs_of(history)) == b("pur{1,2}")
+
+    def test_a_strict_majority_that_names_no_figures_is_not_the_prediction(self):
+        # the unscoped run wins the class, but the prediction names figures
+        history = [b("pur{1}")] + [b("rea")] * 2
+        assert predict(WindowMajority(3), runs_of(history)) == b("rea{}")
 
     def test_window_shorter_history(self):
         history = [b("pur{1}")]
@@ -365,19 +377,19 @@ def reference_steps(trace, start, capability, costs, predictor, weight, variant)
 FIGURES = frozenset("12345")
 figure_sets = st.frozensets(st.sampled_from(sorted(FIGURES)))
 rates = st.floats(0.0, 2.0)
-predictors = st.sampled_from([Persistence(), Oracle()]) | st.integers(1, 6).map(WindowMajority)
 
 
 @st.composite
-def controller_runs(draw):
-    mean_segment_len = draw(st.integers(1, 4))
+def controller_runs(draw, max_segment_len=4, max_window=6, max_horizon=60):
+    mean_segment_len = draw(st.integers(1, max_segment_len))
     spec = TurbulenceSpec(
         seed=draw(st.integers(0, 2**32)),
         class_walk=draw(st.floats(0.0, 1.0)),
         figure_flip=draw(st.floats(0.1, 0.9)),
         mean_segment_len=mean_segment_len,
-        horizon=draw(st.integers(mean_segment_len, 60)),
+        horizon=draw(st.integers(mean_segment_len, max_horizon)),
     )
+    predictors = st.sampled_from([Persistence(), Oracle()]) | st.integers(1, max_window).map(WindowMajority)
     peers = draw(st.dictionaries(st.sampled_from(["a", "b", "c"]), figure_sets, max_size=3))
     capability = Capability(draw(figure_sets), draw(st.sampled_from(list(BehaviorClass))), peers)
     costs = CostModel(draw(rates), draw(rates), draw(rates), draw(rates))
@@ -442,6 +454,25 @@ def test_steps_from_states_it_did_not_return_match_the_reference(run, data):
         assert result == expected
         history.append(env)
         state = result.state
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_the_greedy_plan_is_idempotent(data):
+    # once a plan is applied, planning toward the same prediction again
+    # finds nothing to do, so a controller whose prediction holds is idle
+    capability = Capability(
+        data.draw(figure_sets), data.draw(st.sampled_from(list(BehaviorClass))),
+        data.draw(st.dictionaries(st.sampled_from(["a", "b", "c"]), figure_sets, max_size=3)),
+    )
+    state = data.draw(states(capability))
+    predicted = Behavior(data.draw(st.sampled_from(list(BehaviorClass))), figures=data.draw(figure_sets))
+    costs = CostModel(*(data.draw(rates) for _ in range(4)))
+    weight, variant = data.draw(st.floats(0.0, 1.0)), data.draw(st.sampled_from(list(FitVariant)))
+    actions = plan_adaptation(state, predicted, capability, costs, weight, variant)
+    if actions:
+        after = apply_actions(state, actions, capability)
+        assert plan_adaptation(after, predicted, capability, costs, weight, variant) == []
 
 
 def test_a_reassigned_weight_is_planned_with():
@@ -580,26 +611,24 @@ _SHARED = b("pur{1,2,3,4,5,6}")
 @example(WindowMajority(3), [b("rea")] * 3)
 @example(WindowMajority(4), [b("pur{1}")] + [b("rea")] * 3)
 @example(WindowMajority(5), [b("pro{1,2}")] * 2 + [b("pro^2")] * 3)
+# no run holds a strict majority of an even window, and a tied figure joins
+@example(WindowMajority(4), [b("pur{1}")] * 2 + [b("pur{2}")] * 2)
+# the run holding a strict majority names no figures
+@example(WindowMajority(3), [b("pur{1}")] + [b("rea")] * 2)
 def test_predict_over_runs_matches_the_per_tick_predict(predictor, history):
     assert predict(predictor, runs_of(history)) == frozen_predict(predictor, history)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_a_controller_long_run_matches_the_reference_steps(seed):
-    # the benchmark's controller workload, shortened: 32 figures,
-    # majority:5 and two lenders, checked against the per-tick reference,
-    # which shares neither Controller nor predict with the program
-    workloads = bench_module("workloads")
-    scenario = parse_scenario(workloads.scenario_text(workloads.WORKLOADS["controller-long"], seed, horizon=300))
-    assert (len(scenario.universe), scenario.predictor, len(scenario.capability.peer_figures)) == (
-        32, WindowMajority(5), 2,
-    )
-    trace = scenario_trace(scenario, seed)
-    report = run_scenario(replace(scenario, trace=trace, turbulence=None))
+def _rows_and_reference_rows(scenario):
+    """``run_scenario``'s rows (sys behavior, actions, supply, fit, cost,
+    cum_cost) and ``reference_steps``' on the scenario's trace, tick by
+    tick. The reference shares neither Controller nor predict with the
+    program."""
+    report = run_scenario(scenario)
     expected, before = [], 0.0
     for result in reference_steps(
-        trace, SystemState(scenario.initial_behavior), scenario.capability, scenario.costs,
-        scenario.predictor, scenario.weight, scenario.variant,
+        scenario_trace(scenario), SystemState(scenario.initial_behavior), scenario.capability,
+        scenario.costs, scenario.predictor, scenario.weight, scenario.variant,
     ):
         cum = result.state.cum_cost
         expected.append((
@@ -607,8 +636,62 @@ def test_a_controller_long_run_matches_the_reference_steps(seed):
             cum - before, cum,
         ))
         before = cum
-    assert [(row.sys_behavior, row.actions, row.supply, row.fit, row.cost, row.cum_cost)
-            for row in report.rows] == expected
+    rows = [(row.sys_behavior, row.actions, row.supply, row.fit, row.cost, row.cum_cost)
+            for row in report.rows]
+    return rows, expected
+
+
+def _controller_long(seed, horizon=None):
+    """The benchmark's controller workload at trace seed ``seed``, with its
+    trace fixed."""
+    workloads = bench_module("workloads")
+    scenario = parse_scenario(workloads.scenario_text(workloads.WORKLOADS["controller-long"], seed, horizon))
+    return replace(scenario, trace=scenario_trace(scenario, seed), turbulence=None)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_controller_long_run_matches_the_reference_steps(seed):
+    # the benchmark's controller workload, shortened: 32 figures,
+    # majority:5 and two lenders
+    scenario = _controller_long(seed, horizon=300)
+    assert (len(scenario.universe), scenario.predictor, len(scenario.capability.peer_figures)) == (
+        32, WindowMajority(5), 2,
+    )
+    rows, expected = _rows_and_reference_rows(scenario)
+    assert rows == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(controller_runs(max_segment_len=12, max_window=8, max_horizon=120))
+def test_a_run_matches_the_reference_steps(run):
+    # Segments long against windows of up to 8, so a run holding a strict
+    # majority of the window often sits behind the newest run while the
+    # repeats are counted, and even windows tie.
+    trace, start, capability, costs, predictor, weight, variant = run
+    scenario = Scenario(
+        "random", FIGURES, trace=trace, initial_behavior=start.behavior, predictor=predictor,
+        weight=weight, capability=capability, costs=costs, variant=variant,
+    )
+    rows, expected = _rows_and_reference_rows(scenario)
+    assert rows == expected
+
+
+def test_a_controller_long_op_steps_at_most_1100_times(monkeypatch):
+    # the first op input of the benchmark's controller workload at workload
+    # seed 1 steps about 2400 of its 5000 ticks when every tick of a segment
+    # is stepped until its window holds only the segment's behavior
+    workloads = bench_module("workloads")
+    steps = []
+    step = Controller.step
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(Controller, "step", counting)
+    report = run_scenario(_controller_long(workloads.op_seeds(workloads.WORKLOADS["controller-long"], 1, 0)[0]))
+    assert len(report.rows) == 5000
+    assert len(steps) <= 1100
 
 
 # ``SystemState.borrowed`` once mapped each peer to the set of figures it

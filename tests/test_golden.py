@@ -45,7 +45,7 @@ peers.alpha.figures = 5
 peers.beta.figures = 5,6
 critical = {{5,6}}
 """
-PREDICTORS = {"majority3": "majority:3", "oracle": "oracle"}
+PREDICTORS = {"majority3": "majority:3", "majority4": "majority:4", "oracle": "oracle", "persistence": "persistence"}
 
 
 CASES: dict[str, list[str]] = {}

@@ -241,8 +241,9 @@ class TestPerSegmentEvaluation:
 
 
 class TestControllerSegments:
-    """A controller run steps until its predictor's window holds only the
-    segment's behavior and a step is idle, then repeats that step's row."""
+    """A controller run steps a tick only where its prediction can change:
+    after each step, the ticks that would repeat an idle step of the state
+    it returned are taken at once, and their rows repeat that idle row."""
 
     TEXT = (
         "universe = 1,2,3,4\nturbulence.seed = {seed}\nturbulence.class_walk = 0.3\n"
@@ -256,41 +257,48 @@ class TestControllerSegments:
     @pytest.mark.parametrize("predictor, window", [("persistence", 1), ("oracle", 0), ("majority:3", 3)])
     def test_at_most_window_plus_two_steps_per_segment(self, monkeypatch, predictor, window, seed):
         # the run works out the awareness mode once per segment, before its
-        # first step, so the calls split the steps by segment
+        # first step, so the calls split the steps by segment; each step
+        # takes one tick and each stretch of repeats the ticks it returns
         calls = []
 
-        def counting(owner, name, label):
+        def recording(owner, name, label):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls.append(label)
-                return original(*args, **kwargs)
+                result = original(*args, **kwargs)
+                calls.append((label, result))
+                return result
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(Controller, "step", "step")
-        counting(behaviorfit.simulate, "awareness_mode", "segment")
+        recording(Controller, "step", "step")
+        recording(Controller, "repeats", "repeats")
+        recording(behaviorfit.simulate, "awareness_mode", "segment")
         scenario = parse_scenario(self.TEXT.format(seed=seed, predictor=predictor))
         segments = scenario_trace(scenario).segments
         rows = run_scenario(scenario).rows
-        steps = []
-        for label in calls:
+        steps, t, skipped, last = [], 0, 0, None
+        for label, result in calls:
             if label == "segment":
+                assert t == segments[len(steps)].start
                 steps.append(0)
-            else:
+            elif label == "step":
                 steps[-1] += 1
+                t, last = t + 1, result
+            else:
+                # every repeated tick repeats the idle row of the state the
+                # step before it returned
+                for row in rows[t:t + result]:
+                    assert row.actions == ()
+                    assert (row.sys_behavior, row.supply, row.fit) == (
+                        last.state.behavior, last.supply, last.fit,
+                    )
+                t, skipped = t + result, skipped + result
+        assert t == len(rows) == segments[-1].end
         assert len(steps) == len(segments) > 1
-        skipped = 0
         for segment, n in zip(segments, steps):
             assert n <= min(segment.duration, window + 2)
-            if n < segment.duration:
-                # the last step was idle and every later row repeats it
-                skipped += segment.duration - n
-                idle = rows[segment.start + n - 1]
-                for row in rows[segment.start + n - 1:segment.end]:
-                    assert row.actions == ()
-                    assert (row.sys_behavior, row.supply, row.fit) == (idle.sys_behavior, idle.supply, idle.fit)
-        assert skipped > len(rows) // 3
+        assert skipped > len(rows) // 2
 
 
 class TestWholeRuns:
