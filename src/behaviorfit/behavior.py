@@ -157,7 +157,12 @@ def distance(b1: Behavior, b2: Behavior) -> float:
     inequality hold, and the distance is zero exactly for equal behaviors.
     ``exp(distance)`` is the integer 2^a * 3^b * 5^c (see godel_number).
     """
-    a, b, c = _exponents(b1, b2)
+    return _weighted(_exponents(b1, b2))
+
+
+def _weighted(exponents: tuple[int, int, int]) -> float:
+    """The distance whose difference counts are ``exponents``."""
+    a, b, c = exponents
     return a * LN2 + b * LN3 + c * LN5
 
 

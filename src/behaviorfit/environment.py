@@ -4,6 +4,12 @@ A trace is a contiguous sequence of segments starting at tick 0, each
 holding the environment behavior for its duration. Environment behaviors
 always name the figures they affect (a figure set, possibly empty).
 
+A trace, segment or behavior built by hand is checked by its constructor.
+``generate_trace`` and ``parse_trace`` check once, as they build:
+generated values are valid by construction and each parsed line is
+checked as it is read, so both build their objects through ``_built``,
+which runs no ``__post_init__``.
+
 Trace text format, ingested and emitted by the CLI::
 
     # comment
@@ -55,6 +61,14 @@ class Segment:
         return self.start + self.duration
 
 
+def _built(cls, **fields):
+    """A ``cls`` holding ``fields``, built without its ``__post_init__``
+    checks: only for values already known to pass them."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 def _check_next_segment(seg: Segment, expected: int, universe: frozenset[str]) -> None:
     """Raise ValueError unless ``seg`` starts at ``expected`` and names only
     figures of ``universe``."""
@@ -63,6 +77,9 @@ def _check_next_segment(seg: Segment, expected: int, universe: frozenset[str]) -
     if not seg.behavior.figures <= universe:
         extra = sorted(seg.behavior.figures - universe)
         raise ValueError(f"segment at {seg.start} references figures outside universe: {extra}")
+
+
+_NO_SEGMENTS = "trace needs at least one segment"
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,7 @@ class EnvironmentTrace:
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "universe", frozenset(self.universe))
         if not self.segments:
-            raise ValueError("trace needs at least one segment")
+            raise ValueError(_NO_SEGMENTS)
         expected = 0
         for seg in self.segments:
             _check_next_segment(seg, expected, self.universe)
@@ -218,13 +235,14 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
         else:
             u = (draw() >> 11) / (1 << 53)
             length = min(math.floor(math.log1p(-u) / log_q) + 1, horizon - t)
-        segments.append(Segment(t, length, Behavior(klass, figures=frozenset(figures))))
+        behavior = _built(Behavior, klass=klass, figures=frozenset(figures), arity=None)
+        segments.append(_built(Segment, start=t, duration=length, behavior=behavior))
         t += length
         if draw() < walk:
             delta = -1 if draw() < half else 1
             klass = BehaviorClass(min(BehaviorClass.SOCIAL, max(BehaviorClass.RANDOM, klass + delta)))
         figures.symmetric_difference_update([f for f in ordered if draw() < flip])
-    return EnvironmentTrace(tuple(segments), universe)
+    return _built(EnvironmentTrace, segments=tuple(segments), universe=universe)
 
 
 def parse_trace(text: str) -> EnvironmentTrace:
@@ -256,7 +274,9 @@ def parse_trace(text: str) -> EnvironmentTrace:
             raise ValueError(f"line {lineno}: {exc}") from None
     if universe is None:
         raise ValueError("trace text has no universe header")
-    return EnvironmentTrace(tuple(segments), universe)
+    if not segments:
+        raise ValueError(_NO_SEGMENTS)
+    return _built(EnvironmentTrace, segments=tuple(segments), universe=universe)
 
 
 def format_trace(trace: EnvironmentTrace) -> str:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
-from .behavior import Behavior, distance, precedes
+from .behavior import Behavior, _exponents, _weighted, precedes
 
 __all__ = [
     "NEG_INFINITY",
@@ -67,15 +68,27 @@ def supply(system: Behavior, environment: Behavior) -> SupplyReport:
     match. Incomparable pairs are reported with their own kind but count
     as a shortfall (negative value): some environmental figures are not
     covered.
+
+    Reports are immutable values, shared: the report for each distinct
+    difference between the two behaviors (see ``godel_number``) and kind
+    is built, and checked by its constructor, once.
     """
     if system == environment:
-        return SupplyReport(0.0, SupplyKind.PERFECT)
-    d = distance(system, environment)
-    if precedes(environment, system):
-        return SupplyReport(d, SupplyKind.OVERSUPPLY)
-    if precedes(system, environment):
-        return SupplyReport(-d, SupplyKind.UNDERSUPPLY)
-    return SupplyReport(-d, SupplyKind.INCOMPARABLE)
+        kind = SupplyKind.PERFECT
+    elif precedes(environment, system):
+        kind = SupplyKind.OVERSUPPLY
+    elif precedes(system, environment):
+        kind = SupplyKind.UNDERSUPPLY
+    else:
+        kind = SupplyKind.INCOMPARABLE
+    return _report(_exponents(system, environment), kind)
+
+
+@cache
+def _report(exponents: tuple[int, int, int], kind: SupplyKind) -> SupplyReport:
+    # a perfect pair differs by nothing, so d is 0.0
+    d = _weighted(exponents)
+    return SupplyReport(d if kind in (SupplyKind.PERFECT, SupplyKind.OVERSUPPLY) else -d, kind)
 
 
 def fit(report: SupplyReport, variant: FitVariant = FitVariant.LINEAR) -> float:

@@ -221,7 +221,10 @@ class TestGenerateTrace:
         universe = frozenset(f"x{i}" for i in range(n))
         trace, expected = generate_trace(spec, universe), _frozen_generate_trace(spec, universe)
         assert trace == expected
+        # == alone cannot tell a frozenset of figures from a set; hash can
+        assert hash(trace) == hash(expected)
         assert format_trace(trace) == format_trace(expected)
+        assert parse_trace(format_trace(trace)) == trace
 
     @staticmethod
     def _counted_draws(monkeypatch, spec):

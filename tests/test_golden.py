@@ -54,9 +54,10 @@ for _path in SCENARIOS:
     CASES[f"run-{_path.stem}.json"] = ["run", "--scenario", str(_path), "--format", "json"]
 CASES["demo-fig2.csv"] = ["demo", "fig2"]
 CASES["demo-fig2.json"] = ["demo", "fig2", "--format", "json"]
-CASES["sweep-sensors-1..20.csv"] = [
-    "sweep", "--scenario", str(ROOT / "scenarios" / "sensors.scenario"), "--seeds", "1..20"
-]
+for _stem in ("sensors", "static-walk"):
+    CASES[f"sweep-{_stem}-1..20.csv"] = [
+        "sweep", "--scenario", str(ROOT / "scenarios" / f"{_stem}.scenario"), "--seeds", "1..20"
+    ]
 for _label in PREDICTORS:
     # relative: the inline scenario is written to the working directory
     CASES[f"controller-{_label}.csv"] = ["run", "--scenario", f"controller-{_label}.scenario"]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from behaviorfit import (
@@ -11,13 +11,27 @@ from behaviorfit import (
     SupplyReport,
     comparable,
     cost_adjusted_fit,
+    distance,
     fit,
     parse_behavior as b,
+    precedes,
     supply,
 )
 from conftest import behaviors
 
 LN3 = math.log(3)
+
+
+def _frozen_supply(system, environment) -> SupplyReport:
+    """``supply`` as it stood when it built a new report on every call."""
+    if system == environment:
+        return SupplyReport(0.0, SupplyKind.PERFECT)
+    d = distance(system, environment)
+    if precedes(environment, system):
+        return SupplyReport(d, SupplyKind.OVERSUPPLY)
+    if precedes(system, environment):
+        return SupplyReport(-d, SupplyKind.UNDERSUPPLY)
+    return SupplyReport(-d, SupplyKind.INCOMPARABLE)
 
 
 class TestSupply:
@@ -54,6 +68,14 @@ class TestSupply:
             assert report.value > 0
         else:
             assert report.value < 0
+
+    @settings(max_examples=500)
+    @given(behaviors(), behaviors())
+    def test_shared_reports_match_a_report_per_call(self, x, y):
+        # reports are shared per difference and kind; the repr also tells -0.0 from 0.0
+        report, expected = supply(x, y), _frozen_supply(x, y)
+        assert report.kind is expected.kind
+        assert repr(report.value) == repr(expected.value)
 
     def test_inconsistent_reports_are_rejected(self):
         with pytest.raises(ValueError):

@@ -382,5 +382,5 @@ class TestShippedScenarios:
         report = run_scenario(scenario)
         assert report.summary.ticks > 0
 
-    def test_the_three_samples_are_present(self):
-        assert [p.stem for p in self.SCENARIOS] == ["canary", "sensors", "static-fig2"]
+    def test_the_sample_scenarios_are_present(self):
+        assert [p.stem for p in self.SCENARIOS] == ["canary", "sensors", "static-fig2", "static-walk"]
