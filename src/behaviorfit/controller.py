@@ -327,14 +327,9 @@ class Controller:
     consecutive observations, oldest first and at most ``window`` ticks in
     all: a repeated observation costs O(1), and after a step ``repeats``
     takes the whole stretch of ticks that would repeat an idle step at once.
-
-    A plan depends only on the state's behavior and borrowings, the
-    prediction and the controller's settings, so the controller remembers
-    the last such inputs whose plan was empty and does not plan again
-    while they repeat. Likewise it scores a tick again only when the new
-    state's behavior, the observation or the fit variant differs from the
-    last tick it scored, and otherwise returns that tick's supply report
-    and fit objects.
+    Those runs and the last step's prediction and observation, which
+    ``repeats`` reads, are all a step remembers: every step plans and
+    scores its tick afresh.
     """
 
     def __init__(
@@ -352,8 +347,6 @@ class Controller:
         self.variant = variant
         self.history: deque[list] = deque()
         self._held = 0
-        self._idle_inputs: tuple | None = None
-        self._scored: tuple = (None, None, None)
         self._last: tuple = (None, None)
 
     def step(
@@ -370,26 +363,15 @@ class Controller:
         if self.history or not self.predictor.window:
             prediction = predict(self.predictor, self.history, oracle_next or observed_env)
             self._last = (prediction, observed_env)
-            inputs = (
-                state.behavior, state.borrowed, prediction,
-                self.capability, self.costs, self.weight, self.variant,
+            actions = plan_adaptation(
+                state, prediction, self.capability, self.costs, self.weight, self.variant
             )
-            if inputs != self._idle_inputs:
-                actions = plan_adaptation(
-                    state, prediction, self.capability, self.costs, self.weight, self.variant
-                )
-                if not actions:
-                    self._idle_inputs = inputs
         new_state = apply_actions(state, actions, self.capability) if actions else state
         cost = tick_cost(new_state, self.costs) + self.costs.switch_cost * len(actions)
         new_state = SystemState(new_state.behavior, new_state.borrowed, state.cum_cost + cost)
-        scored = (new_state.behavior, observed_env, self.variant)
-        if scored != self._scored[0]:
-            report = supply(new_state.behavior, observed_env)
-            self._scored = (scored, report, fit(report, self.variant))
-        _, report, fit_value = self._scored
+        report = supply(new_state.behavior, observed_env)
         self._observe(observed_env)
-        return StepResult(new_state, report, fit_value, tuple(actions))
+        return StepResult(new_state, report, fit(report, self.variant), tuple(actions))
 
     def repeats(self, limit: int) -> int:
         """Right after a step, how many of the next ``limit`` ticks facing
