@@ -1,6 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for validation errors, 2 for runtime errors.
+
+The simulator's names (``fig2_scenario``, ``render_csv``, ``render_json``,
+``run_scenario``, ``scenario_trace``) are attributes of this module, bound
+from ``behaviorfit.simulate`` on their first ``getattr`` or when a verb that
+simulates first runs, so ``validate`` never imports the simulator. A name
+set here before then is kept, and is what the verbs call.
 """
 
 from __future__ import annotations
@@ -14,9 +20,25 @@ from .behavior import _ascii_number
 from .environment import format_trace
 from .metrics import FitVariant
 from .scenario import Scenario, ScenarioError, load_scenario
-from .simulate import fig2_scenario, render_csv, render_json, run_scenario, scenario_trace
 
 __all__ = ["main"]
+
+_SIMULATOR = ("fig2_scenario", "render_csv", "render_json", "run_scenario", "scenario_trace")
+
+
+def _bind_simulator() -> None:
+    """Bind each simulator name that is not bound yet."""
+    from . import simulate
+
+    for name in _SIMULATOR:
+        globals().setdefault(name, getattr(simulate, name))
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATOR:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_simulator()
+    return globals()[name]
 
 
 def _seed_range(text: str) -> range:
@@ -63,6 +85,7 @@ def _render(report, fmt: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _bind_simulator()
     scenario = _overridden(load_scenario(args.scenario), args, args.seed)
     report = run_scenario(scenario)
     if args.emit_trace:
@@ -78,12 +101,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    _bind_simulator()
     report = run_scenario(_overridden(fig2_scenario(), args))
     _emit(_render(report, args.format), args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _bind_simulator()
     scenario = load_scenario(args.scenario)
     lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost"]
     for seed in args.seeds:

@@ -1,4 +1,4 @@
-"""Adaptation controller: predictors, greedy planning, and the per-tick loop.
+"""Adaptation controller: prediction, greedy planning, and the per-tick loop.
 
 The controller tracks the environment behaviors it has observed, predicts
 the next one, and adapts the system behavior toward the prediction within
@@ -9,67 +9,30 @@ cost-adjusted fit against the prediction.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field, fields
-from typing import ClassVar, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from .behavior import Behavior, BehaviorClass
 from .metrics import FitVariant, SupplyReport, cost_adjusted_fit, fit, supply
+from .scenario import Capability, CostModel, Persistence, Predictor
 
 __all__ = [
     "AdaptationAction",
     "BorrowFigure",
-    "Capability",
     "Controller",
-    "CostModel",
     "DisableFigure",
     "EnableFigure",
-    "Oracle",
-    "Persistence",
-    "Predictor",
     "ReturnFigure",
     "SetClass",
     "StepResult",
     "SystemState",
-    "WindowMajority",
     "apply_actions",
     "format_action",
     "plan_adaptation",
     "predict",
     "tick_cost",
 ]
-
-
-@dataclass(frozen=True)
-class Capability:
-    """What a system can do: locally acquirable figures, a class ceiling,
-    and per-peer borrowable figure sets."""
-
-    universe: frozenset[str]
-    max_class: BehaviorClass = BehaviorClass.SOCIAL
-    peer_figures: Mapping[str, frozenset[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "universe", frozenset(self.universe))
-        object.__setattr__(
-            self, "peer_figures", {p: frozenset(figs) for p, figs in self.peer_figures.items()}
-        )
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-tick operating rates plus a one-off charge per adaptation action."""
-
-    figure_cost: float = 0.0
-    borrow_cost: float = 0.0
-    class_cost: float = 0.0
-    switch_cost: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not 0 <= getattr(self, f.name) < math.inf:
-                raise ValueError(f"expected a finite non-negative {f.name}")
 
 
 @dataclass(frozen=True)
@@ -92,36 +55,6 @@ class SystemState:
     @property
     def local_figures(self) -> frozenset[str]:
         return self.behavior.figures.difference(self.borrowed)
-
-
-@dataclass(frozen=True)
-class Persistence:
-    """Predict that the last observed behavior continues."""
-
-    window: ClassVar[int] = 1
-
-
-@dataclass(frozen=True)
-class WindowMajority:
-    """Per-figure majority vote and modal class over the last ``window``
-    observations. A tied figure is included; a tied class falls to the
-    most recent observation holding the top count."""
-
-    window: int
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-
-
-@dataclass(frozen=True)
-class Oracle:
-    """Perfect one-tick lookahead; only available in simulation."""
-
-    window: ClassVar[int] = 0
-
-
-Predictor = Persistence | WindowMajority | Oracle
 
 
 def predict(

@@ -1,5 +1,9 @@
 """Scenario files: parsing and validation.
 
+The settings a scenario holds for its controller (``Capability``,
+``CostModel`` and the predictors) are defined here, so parsing and checking
+a scenario loads no controller and no simulator.
+
 A scenario is a line-oriented ``key = value`` file describing one
 simulation run. ``#`` starts a comment. Example::
 
@@ -35,21 +39,93 @@ import codecs
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import ClassVar, Mapping, get_type_hints
 
 from .behavior import (
     _FIGURE_RE, _TOKEN_CLASS, _ascii_number, Behavior, BehaviorClass, parse_behavior, parse_figures,
 )
-from .controller import Capability, CostModel, Oracle, Persistence, Predictor, WindowMajority
 from .environment import EnvironmentTrace, TurbulenceSpec, parse_trace
 from .metrics import FitVariant
 from .sensors import SensorNode
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "validate_scenario"]
+__all__ = [
+    "Capability",
+    "CostModel",
+    "Oracle",
+    "Persistence",
+    "Predictor",
+    "Scenario",
+    "ScenarioError",
+    "WindowMajority",
+    "load_scenario",
+    "parse_scenario",
+    "validate_scenario",
+]
 
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario input or failed validation."""
+
+
+@dataclass(frozen=True)
+class Capability:
+    """What a system can do: locally acquirable figures, a class ceiling,
+    and per-peer borrowable figure sets."""
+
+    universe: frozenset[str]
+    max_class: BehaviorClass = BehaviorClass.SOCIAL
+    peer_figures: Mapping[str, frozenset[str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "universe", frozenset(self.universe))
+        object.__setattr__(
+            self, "peer_figures", {p: frozenset(figs) for p, figs in self.peer_figures.items()}
+        )
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Per-tick operating rates plus a one-off charge per adaptation action."""
+
+    figure_cost: float = 0.0
+    borrow_cost: float = 0.0
+    class_cost: float = 0.0
+    switch_cost: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"expected a finite non-negative {f.name}")
+
+
+@dataclass(frozen=True)
+class Persistence:
+    """Predict that the last observed behavior continues."""
+
+    window: ClassVar[int] = 1
+
+
+@dataclass(frozen=True)
+class WindowMajority:
+    """Per-figure majority vote and modal class over the last ``window``
+    observations. A tied figure is included; a tied class falls to the
+    most recent observation holding the top count."""
+
+    window: int
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """Perfect one-tick lookahead; only available in simulation."""
+
+    window: ClassVar[int] = 0
+
+
+Predictor = Persistence | WindowMajority | Oracle
 
 
 _UNSET_BEHAVIOR = Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset())

@@ -3,12 +3,15 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from itertools import groupby
 from pathlib import Path
 
 import hypothesis.strategies as st
 
+import behaviorfit
 from behaviorfit import Behavior, BehaviorClass
 
 FIGURES = ("1", "2", "3", "4")
@@ -31,6 +34,14 @@ def bench_module(name: str):
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fresh_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the same
+    ``behaviorfit`` as this process, installed or not."""
+    pythonpath = [str(Path(behaviorfit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def runs_of(observations) -> list[tuple]:

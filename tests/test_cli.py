@@ -1,17 +1,15 @@
 import csv
 import io
 import json
-import os
 import shlex
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import behaviorfit
 from behaviorfit.cli import main
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = ROOT / "scenarios"
@@ -393,17 +391,72 @@ def test_emit_trace_round_trips_through_a_fixed_trace_run(scenario_file, tmp_pat
 
 
 def test_console_entry_point(scenario_file):
-    # the child imports the same package as this process, installed or not
-    pythonpath = [str(Path(behaviorfit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "behaviorfit.cli", "run", "--scenario", str(scenario_file)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = fresh_python("-m", "behaviorfit.cli", "run", "--scenario", str(scenario_file))
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,env_behavior")
+
+
+# Runs ``python -m behaviorfit.cli ARGS``, then writes to stderr which of
+# the modules that load only on demand the verb loaded.
+COLD_START = """
+import runpy, sys
+try:
+    runpy.run_module("behaviorfit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert not exit.code, exit.code
+lazy = ("behaviorfit.simulate", "behaviorfit.controller", "behaviorfit.cybernetic", "json", "csv")
+print(*(name for name in lazy if name in sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("verb, loaded", [
+    ("validate", ""),
+    ("run", "behaviorfit.simulate behaviorfit.controller json csv"),
+])
+def test_a_verb_imports_only_what_it_runs(verb, loaded):
+    proc = fresh_python("-c", COLD_START, verb, "--scenario", "scenarios/canary.scenario", cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == loaded + "\n"
+
+
+# The sequence a traced benchmark replay runs in a process that has not
+# imported the simulator: read a simulator name of the CLI, swap a wrapper
+# in, run a verb, and put the name back. A name set before the CLI ever
+# bound it is kept too.
+SWAP = """
+import sys
+import behaviorfit.cli as cli
+assert "behaviorfit.simulate" not in sys.modules and "run_scenario" not in vars(cli)
+argv = ["run", "--scenario", "scenarios/canary.scenario", "--out", sys.argv[1]]
+calls = []
+
+def wrapping(run):
+    def wrapper(scenario):
+        calls.append(scenario.name)
+        return run(scenario)
+    return wrapper
+
+if sys.argv[2] == "before":
+    import behaviorfit.simulate
+    cli.run_scenario = wrapping(behaviorfit.simulate.run_scenario)
+else:
+    original = getattr(cli, "run_scenario")
+    assert original is sys.modules["behaviorfit.simulate"].run_scenario
+    setattr(cli, "run_scenario", wrapping(original))
+assert cli.main(argv) == 0 and calls == ["canary"], calls
+if sys.argv[2] == "after":
+    setattr(cli, "run_scenario", original)
+    assert cli.main(argv) == 0 and calls == ["canary"], calls
+    assert cli.run_scenario is original
+"""
+
+
+@pytest.mark.parametrize("swapped", ["before", "after"])
+def test_a_simulator_name_swapped_in_the_cli_is_what_a_verb_calls(swapped, tmp_path):
+    """``swapped``: before or after the CLI first binds the name."""
+    proc = fresh_python("-c", SWAP, str(tmp_path / "out.csv"), swapped, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_bytes() == (ROOT / "tests/data/golden/run-canary.csv").read_bytes()
 
 
 def _readme_cli_lines() -> list[str]:
