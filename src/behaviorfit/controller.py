@@ -66,10 +66,9 @@ def predict(
     observation. In a majority vote a figure or class counts once per tick
     of each run that holds it, so the prediction always names its figures.
 
-    The heaviest run (the newest of the heaviest) is the prediction if it
-    holds a strict majority of the ticks and names its figures. Otherwise
-    only the figures another run disputes with it can leave or join its
-    set, and if none does and its class wins, it is still the prediction."""
+    The prediction is the top class, the newest on a tie, with every
+    figure that at least half the ticks vote for; a run holding a strict
+    majority of the ticks and naming its figures is that prediction."""
     if not predictor.window:
         if oracle_next is None:
             raise ValueError("oracle predictor needs oracle_next")
@@ -90,22 +89,15 @@ def predict(
     base, heaviest = max(window, key=lambda run: run[1])
     if 2 * heaviest > ticks and base.figures is not None:
         return base
-    base_figures = base.figures or frozenset()
-    # ``away[f]``: ticks whose observation disagrees with ``base`` on f
-    away: dict[str, int] = {}
     # counted newest first, so the first class with the top count is the most recent
     klasses: dict[BehaviorClass, int] = {}
+    votes: dict[str, int] = {}
     for obs, n in window:
         klasses[obs.klass] = klasses.get(obs.klass, 0) + n
-        for f in base_figures.symmetric_difference(obs.figures or ()):
-            away[f] = away.get(f, 0) + n
-    # a figure is predicted iff 2 * votes >= ticks: one of base's leaves iff
-    # 2 * away > ticks, and any other joins iff 2 * away >= ticks
-    flipped = {f for f, n in away.items() if (2 * n > ticks if f in base_figures else 2 * n >= ticks)}
+        for f in obs.figures or ():
+            votes[f] = votes.get(f, 0) + n
     klass = max(klasses, key=klasses.__getitem__)
-    if not flipped and klass is base.klass and base.figures is not None:
-        return base
-    return Behavior(klass, figures=base_figures.symmetric_difference(flipped))
+    return Behavior(klass, figures=frozenset(f for f, n in votes.items() if 2 * n >= ticks))
 
 
 @dataclass(frozen=True)
@@ -247,7 +239,8 @@ class StepResult:
 
 
 class Controller:
-    """Drives one system through the adaptation loop, one call per tick.
+    """Drives one system through the adaptation loop, one tick per ``step``
+    and a stretch of ticks that would repeat an idle step per ``repeats``.
 
     The plan for a tick is made from the predictor's ``window`` latest
     observations, the only ones ``history`` keeps (the oracle predictor,

@@ -46,6 +46,9 @@ peers.beta.figures = 5,6
 critical = {{5,6}}
 """
 PREDICTORS = {"majority3": "majority:3", "majority4": "majority:4", "oracle": "oracle", "persistence": "persistence"}
+# ``scenarios/alternating.scenario`` runs persistence; these rerun its trace
+# under the other predictors
+ALTERNATING = {"majority2": "majority:2", "majority3": "majority:3", "oracle": "oracle"}
 
 
 CASES: dict[str, list[str]] = {}
@@ -61,12 +64,26 @@ for _stem in ("sensors", "static-walk"):
 for _label in PREDICTORS:
     # relative: the inline scenario is written to the working directory
     CASES[f"controller-{_label}.csv"] = ["run", "--scenario", f"controller-{_label}.scenario"]
+for _label in ALTERNATING:
+    CASES[f"alternating-{_label}.csv"] = ["run", "--scenario", f"alternating-{_label}.scenario"]
+
+
+def write_inline_scenarios(workdir: Path) -> None:
+    """Write the scenario files the relative cases name into ``workdir``."""
+    for label, predictor in PREDICTORS.items():
+        (workdir / f"controller-{label}.scenario").write_text(CONTROLLER.format(predictor=predictor))
+    alternating = (ROOT / "scenarios" / "alternating.scenario").read_text()
+    assert alternating.count("controller.predictor = persistence") == 1
+    shutil.copy(ROOT / "scenarios" / "alternating.trace", workdir)
+    for label, predictor in ALTERNATING.items():
+        (workdir / f"alternating-{label}.scenario").write_text(
+            alternating.replace("controller.predictor = persistence", f"controller.predictor = {predictor}")
+        )
 
 
 def cli_output(name: str, workdir: Path) -> bytes:
     """Output of case ``name``, run with ``workdir`` as the working directory."""
-    for label, predictor in PREDICTORS.items():
-        (workdir / f"controller-{label}.scenario").write_text(CONTROLLER.format(predictor=predictor))
+    write_inline_scenarios(workdir)
     out = workdir / "out"
     assert main([*CASES[name], "--out", str(out)]) == 0
     return out.read_bytes()
@@ -108,8 +125,7 @@ def test_every_supported_python_writes_the_golden_bytes(version, tmp_path):
     python = _interpreter(version)
     if python is None:
         pytest.skip(f"no Python {version} interpreter found")
-    for label, predictor in PREDICTORS.items():
-        (tmp_path / f"controller-{label}.scenario").write_text(CONTROLLER.format(predictor=predictor))
+    write_inline_scenarios(tmp_path)
     child = subprocess.run(
         [python, "-c", CHILD], input=json.dumps(CASES), cwd=tmp_path, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=300,

@@ -383,4 +383,4 @@ class TestShippedScenarios:
         assert report.summary.ticks > 0
 
     def test_the_sample_scenarios_are_present(self):
-        assert [p.stem for p in self.SCENARIOS] == ["canary", "sensors", "static-fig2", "static-walk"]
+        assert [p.stem for p in self.SCENARIOS] == ["alternating", "canary", "sensors", "static-fig2", "static-walk"]
