@@ -10,8 +10,9 @@ it once and yield the segment as one run; a sensor run builds its
 ``greedy_cover`` once and asks it once per segment. The MAPE-K controller
 steps only the ticks where its prediction can change: after each step it
 takes the ticks that would repeat an idle step of the state in one go
-(``Controller.repeats``). Each acting step is a run; idle steps in a row,
-and the ticks that repeat them, are one.
+(``Controller.repeats``). A step that acts is a one-tick run; an idle
+step and the ticks that repeat it are priced as one stretch of the
+segment's idle run.
 
 The summary is worked out from the runs, and ``RunReport.rows`` builds
 the ``TickRow``s from them only when first read, so a sweep, which reads
@@ -268,20 +269,16 @@ def _controller_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterato
         runs = []
         t = segment.start
         while t < segment.end:
-            before = state.cum_cost
             result = controller.step(state, env)
-            state = result.state
-            if result.actions or not runs or runs[-1].actions:
-                runs.append(_Run(t, env, state.behavior, result.supply, result.fit,
-                                 tuple(map(format_action, result.actions)), level, [], []))
-            # an idle step keeps the state, and the segment the observation,
-            # so it extends the last step's run when that step was idle too
-            runs[-1].costs.append(state.cum_cost - before)
-            runs[-1].cum_costs.append(state.cum_cost)
-            t += 1
-            # the ticks that would repeat an idle step join one idle run, priced as steps
-            if n := controller.repeats(segment.end - t):
-                if runs[-1].actions:
+            n = 1 + controller.repeats(segment.end - t - 1)
+            if result.actions:
+                runs.append(_Run(t, env, result.state.behavior, result.supply, result.fit,
+                                 tuple(map(format_action, result.actions)), level,
+                                 [result.state.cum_cost - state.cum_cost], [result.state.cum_cost]))
+                state, t, n = result.state, t + 1, n - 1
+            # the other ticks keep the state and the observation: one stretch of the idle run
+            if n:
+                if not runs or runs[-1].actions:
                     runs.append(_Run(t, env, state.behavior, result.supply, result.fit, (), level, [], []))
                 cums = tuple(accumulate(repeat(tick_cost(state, scenario.costs), n), initial=state.cum_cost))
                 runs[-1].costs.extend(map(sub, cums[1:], cums))

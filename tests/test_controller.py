@@ -537,37 +537,12 @@ def test_step_refuses_an_observation_that_names_no_figures(predictor, observed):
     assert controller.history == twin.history
 
 
-def _majority_by_loop_and_scan(window_size, history):
-    """``predict``'s majority rule as it was first written: a per-figure
-    vote loop, then a scan from the newest observation for the first class
-    holding the top count."""
-    window = list(history)[-window_size:]
-    votes = Counter()
-    for obs in window:
-        votes.update(obs.figures or ())
-    figures = frozenset(f for f, n in votes.items() if 2 * n >= len(window))
-    class_counts = Counter(obs.klass for obs in window)
-    top = max(class_counts.values())
-    klass = next(obs.klass for obs in reversed(window) if class_counts[obs.klass] == top)
-    return Behavior(klass, figures=figures)
-
-
 # Three classes and three figures, so windows often tie on both.
 _tied_observations = st.builds(
     Behavior,
     st.sampled_from([BehaviorClass.PURPOSEFUL, BehaviorClass.REACTIVE, BehaviorClass.PROACTIVE]),
     figures=st.frozensets(st.sampled_from("123")),
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 8), st.lists(_tied_observations, min_size=1, max_size=10))
-@example(2, [b("rea{1}"), b("pur{2}")])
-@example(4, [b("pro{1}"), b("rea{1,2}"), b("pur{2}"), b("rea{}"), b("pur{3}")])
-def test_window_majority_matches_the_loop_and_scan(window_size, history):
-    expected = _majority_by_loop_and_scan(window_size, history)
-    assert predict(WindowMajority(window_size), runs_of(history)) == expected
-    assert predict(WindowMajority(window_size), runs_of(deque(history, maxlen=window_size))) == expected
 
 
 # Histories with runs of repeated observations, up to 24 ticks, so windows
@@ -618,8 +593,12 @@ _SHARED = b("pur{1,2,3,4,5,6}")
 @example(WindowMajority(4), [b("pur{1}")] * 2 + [b("pur{2}")] * 2)
 # the run holding a strict majority names no figures
 @example(WindowMajority(3), [b("pur{1}")] + [b("rea")] * 2)
+@example(WindowMajority(2), [b("rea{1}"), b("pur{2}")])
+@example(WindowMajority(4), [b("pro{1}"), b("rea{1,2}"), b("pur{2}"), b("rea{}"), b("pur{3}")])
 def test_predict_over_runs_matches_the_per_tick_predict(predictor, history):
-    assert predict(predictor, runs_of(history)) == frozen_predict(predictor, history)
+    expected = frozen_predict(predictor, history)
+    assert predict(predictor, runs_of(history)) == expected
+    assert predict(predictor, runs_of(history[-predictor.window:])) == expected
 
 
 def _rows_and_reference_rows(scenario):

@@ -147,7 +147,6 @@ def test_controller_golden_exercises_borrows_classes_and_mode(label):
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
