@@ -6,13 +6,17 @@ The simulator's names (``fig2_scenario``, ``render_csv``, ``render_json``,
 ``run_scenario``, ``scenario_trace``) are attributes of this module, bound
 from ``behaviorfit.simulate`` on their first ``getattr`` or when a verb that
 simulates first runs, so ``validate`` never imports the simulator. A name
-set here before then is kept, and is what the verbs call.
+set here before then is kept, and is what the verbs call. The verbs do not
+call ``render_csv`` or ``render_json``: they write the chunks those two
+join straight to ``--out`` or stdout, one run of ticks at a time, and open
+the file only once the run has returned.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,11 +64,13 @@ def _ascii(kind: type[int] | type[float]):
     return convert
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` one at a time to the file ``out``, or to stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as file:
+            file.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _overridden(scenario: Scenario, args: argparse.Namespace, seed: int | None = None) -> Scenario:
@@ -80,8 +86,11 @@ def _overridden(scenario: Scenario, args: argparse.Namespace, seed: int | None =
     )
 
 
-def _render(report, fmt: str) -> str:
-    return render_json(report) if fmt == "json" else render_csv(report)
+def _render(report, fmt: str) -> Iterator[str]:
+    """The chunks ``render_json`` or ``render_csv`` would join, per ``fmt``."""
+    from .simulate import _csv_chunks, _json_chunks
+
+    return _json_chunks(report) if fmt == "json" else _csv_chunks(report)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -110,11 +119,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     _bind_simulator()
     scenario = load_scenario(args.scenario)
-    lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost"]
+    lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost\n"]
     for seed in args.seeds:
         s = run_scenario(_overridden(scenario, args, seed)).summary
-        lines.append(f"{seed},{s.mean_finite_fit!r},{s.neg_inf_ticks},{s.total_cost!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+        lines.append(f"{seed},{s.mean_finite_fit!r},{s.neg_inf_ticks},{s.total_cost!r}\n")
+    _emit(lines, args.out)
     return 0
 
 

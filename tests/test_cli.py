@@ -3,6 +3,7 @@ import io
 import json
 import shlex
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -358,7 +359,45 @@ def test_peers_without_a_controller_exit_1(tmp_path, capsys):
 def test_runtime_error_exit_code(scenario_file, capsys):
     missing_dir = scenario_file.parent / "nope" / "out.csv"
     assert main(["run", "--scenario", str(scenario_file), "--out", str(missing_dir)]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file" in captured.err
+
+
+def test_a_failed_run_leaves_an_existing_out_file_untouched(tmp_path, capsys):
+    # the output file is opened only once the run has returned
+    path, out = tmp_path / "broken.scenario", tmp_path / "out.csv"
+    path.write_text(BROKEN)
+    out.write_bytes(b"kept\n")
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"kept\n"
+
+
+# 20000 ticks in segments of about 500: each run of ticks, and so each
+# chunk written, is a small part of the output
+LONG_STATIC = """
+universe = f00,f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,f12,f13,f14,f15
+turbulence.seed = 1
+turbulence.horizon = 20000
+turbulence.mean_segment_len = 500
+system.behavior = rea{f00,f02,f04,f06,f08,f10,f12,f14}
+"""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_run_never_holds_its_whole_output(tmp_path, fmt):
+    path, out = tmp_path / "long.scenario", tmp_path / f"out.{fmt}"
+    path.write_text(LONG_STATIC)
+    argv = ["run", "--scenario", str(path), "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0  # warm-up: imports and first-call set-up are not traced
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
 
 
 def test_emit_trace_round_trips_through_a_fixed_trace_run(scenario_file, tmp_path, capsys, monkeypatch):

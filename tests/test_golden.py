@@ -95,6 +95,14 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     assert cli_output(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_cli_stdout_matches_golden(name, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    write_inline_scenarios(tmp_path)
+    assert main(CASES[name]) == 0
+    assert capsysbinary.readouterr() == ((GOLDEN / name).read_bytes(), b"")
+
+
 def _interpreter(version: str) -> str | None:
     """A ``python3.X`` that runs and reports ``version``: the one on
     ``PATH``, else a pyenv install under ``$PYENV_ROOT`` (``~/.pyenv``)."""
