@@ -3,13 +3,14 @@
 Exit codes: 0 on success, 1 for validation errors, 2 for runtime errors.
 
 The simulator's names (``fig2_scenario``, ``render_csv``, ``render_json``,
-``run_scenario``, ``scenario_trace``) are attributes of this module, bound
-from ``behaviorfit.simulate`` on their first ``getattr`` or when a verb that
-simulates first runs, so ``validate`` never imports the simulator. A name
-set here before then is kept, and is what the verbs call. The verbs do not
-call ``render_csv`` or ``render_json``: they write the chunks those two
-join straight to ``--out`` or stdout, one run of ticks at a time, and open
-the file only once the run has returned.
+``run_scenario``, ``scenario_trace``) are attributes of this module: the
+module ``__getattr__`` looks each up in ``behaviorfit.simulate`` on every
+read (PEP 562), so ``validate`` never imports the simulator. The verbs call
+them as attributes of this module, never as bare names, so a name set here
+is what they call, and deleting it brings back the simulator's. The verbs
+do not call ``render_csv`` or ``render_json``: they write the rows those
+two join straight to ``--out`` or stdout, one row at a time, and open the
+file only once the run has returned.
 """
 
 from __future__ import annotations
@@ -30,19 +31,15 @@ __all__ = ["main"]
 _SIMULATOR = ("fig2_scenario", "render_csv", "render_json", "run_scenario", "scenario_trace")
 
 
-def _bind_simulator() -> None:
-    """Bind each simulator name that is not bound yet."""
-    from . import simulate
-
-    for name in _SIMULATOR:
-        globals().setdefault(name, getattr(simulate, name))
-
-
 def __getattr__(name: str):
     if name not in _SIMULATOR:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_simulator()
-    return globals()[name]
+    from . import simulate
+
+    return getattr(simulate, name)
+
+
+_cli = sys.modules[__name__]  # this module, also when it runs as __main__
 
 
 def _seed_range(text: str) -> range:
@@ -79,7 +76,7 @@ def _overridden(scenario: Scenario, args: argparse.Namespace, seed: int | None =
     ``--emit-trace`` share one draw. ``run_scenario`` validates the result."""
     return replace(
         scenario,
-        trace=scenario_trace(scenario, seed),
+        trace=_cli.scenario_trace(scenario, seed),
         turbulence=None,
         variant=FitVariant(args.fit_variant) if args.fit_variant else scenario.variant,
         weight=scenario.weight if args.cost_weight is None else args.cost_weight,
@@ -94,9 +91,8 @@ def _render(report, fmt: str) -> Iterator[str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _bind_simulator()
     scenario = _overridden(load_scenario(args.scenario), args, args.seed)
-    report = run_scenario(scenario)
+    report = _cli.run_scenario(scenario)
     if args.emit_trace:
         Path(args.emit_trace).write_text(format_trace(scenario.trace))
     _emit(_render(report, args.format), args.out)
@@ -110,18 +106,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    _bind_simulator()
-    report = run_scenario(_overridden(fig2_scenario(), args))
+    report = _cli.run_scenario(_overridden(_cli.fig2_scenario(), args))
     _emit(_render(report, args.format), args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _bind_simulator()
     scenario = load_scenario(args.scenario)
     lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost\n"]
     for seed in args.seeds:
-        s = run_scenario(_overridden(scenario, args, seed)).summary
+        s = _cli.run_scenario(_overridden(scenario, args, seed)).summary
         lines.append(f"{seed},{s.mean_finite_fit!r},{s.neg_inf_ticks},{s.total_cost!r}\n")
     _emit(lines, args.out)
     return 0

@@ -27,9 +27,9 @@ keys in the same order.
 
 Both renderers share one walk over the runs: each format writes a run's
 behaviors, supply, fit, actions and mode once, and only ``t``, ``cost``
-and ``cum_cost`` per tick. The walk yields the text one run at a time, so
-the CLI writes it to its destination chunk by chunk and never holds the
-whole output; ``render_csv`` and ``render_json`` join the same chunks.
+and ``cum_cost`` per tick. The walk yields the text one row at a time, so
+the CLI writes it to its destination row by row and never holds the whole
+output; ``render_csv`` and ``render_json`` join the same chunks.
 ``render_json`` writes the text ``json.dumps(..., indent=2)`` would.
 """
 
@@ -311,19 +311,18 @@ def _sensor_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_R
                    (cost,) * segment.duration, cums)
 
 
-def _row_texts(report: RunReport, shared: Callable, number: Callable, sep: str) -> Iterator[str]:
-    """Each run's rows as one text, the rows joined by ``sep``.
-    ``shared(run)`` gives, once per run, the text before ``t``, before
-    ``cost``, before ``cum_cost`` and after it, and ``number`` writes the
-    two costs."""
+def _row_texts(report: RunReport, shared: Callable, number: Callable) -> Iterator[str]:
+    """Each row's text, one row at a time. ``shared(run)`` gives, once per
+    run, the text before ``t``, before ``cost``, before ``cum_cost`` and
+    after it, and ``number`` writes the two costs."""
     for run in report.rows.runs:
         before_t, before_cost, before_cum, after = shared(run)
-        yield sep.join([f"{before_t}{t}{before_cost}{number(cost)}{before_cum}{number(cum)}{after}"
-                        for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs)])
+        for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs):
+            yield f"{before_t}{t}{before_cost}{number(cost)}{before_cum}{number(cum)}{after}"
 
 
 def _csv_chunks(report: RunReport) -> Iterator[str]:
-    """The CSV text: the header, then one chunk per run."""
+    """The CSV text: the header, then one chunk per row."""
     # behavior cells carry commas, so the shared cells are quoted the
     # standard way, and csv writes floats as their repr. writerow returns
     # what write returns: the line. With lineterminator="" csv would not
@@ -336,7 +335,7 @@ def _csv_chunks(report: RunReport) -> Iterator[str]:
         return "", f",{line[:-1]},", ",", ",\n" if run.mode is None else f",{run.mode!r}\n"
 
     yield ",".join(CSV_COLUMNS) + "\n"
-    yield from _row_texts(report, shared, repr, "")
+    yield from _row_texts(report, shared, repr)
 
 
 def render_csv(report: RunReport) -> str:
@@ -375,14 +374,13 @@ def _json_shared(run: _Run) -> tuple[str, str, str, str]:
 
 
 def _json_chunks(report: RunReport) -> Iterator[str]:
-    """The JSON text: the name and summary, then one chunk per run with
-    the separators between them, then the tail."""
+    """The JSON text: the name and summary, then one chunk per row, each
+    after its separator, then the tail."""
     summary = ",\n".join(f'    "{key}": {_json_value(value)}' for key, value in asdict(report.summary).items())
     yield f'{{\n  "name": {_json_value(report.name)},\n  "summary": {{\n{summary}\n  }},\n  "rows": '
     sep = "[\n"
-    for text in _row_texts(report, _json_shared, _json_value, ",\n"):
-        yield sep
-        yield text
+    for text in _row_texts(report, _json_shared, _json_value):
+        yield sep + text
         sep = ",\n"
     yield "[]\n}\n" if sep == "[\n" else "\n  ]\n}\n"
 

@@ -374,21 +374,33 @@ def test_a_failed_run_leaves_an_existing_out_file_untouched(tmp_path, capsys):
     assert out.read_bytes() == b"kept\n"
 
 
-# 20000 ticks in segments of about 500: each run of ticks, and so each
-# chunk written, is a small part of the output
-LONG_STATIC = """
-universe = f00,f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,f12,f13,f14,f15
+UNIVERSE = "f00,f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,f11,f12,f13,f14,f15"
+# 20000 ticks in segments of about 500
+LONG_STATIC = f"""
+universe = {UNIVERSE}
 turbulence.seed = 1
 turbulence.horizon = 20000
 turbulence.mean_segment_len = 500
-system.behavior = rea{f00,f02,f04,f06,f08,f10,f12,f14}
+system.behavior = rea{{f00,f02,f04,f06,f08,f10,f12,f14}}
+"""
+# 20000 ticks in one segment: one run of ticks that is the whole output
+ONE_SEGMENT = f"""
+universe = {UNIVERSE}
+trace.file = one.trace
+system.behavior = rea{{f00,f02,f04,f06,f08,f10,f12,f14}}
 """
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_run_never_holds_its_whole_output(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, text", [
+    pytest.param("csv", LONG_STATIC, id="csv"),
+    pytest.param("json", LONG_STATIC, id="json"),
+    pytest.param("csv", ONE_SEGMENT, id="csv-one-segment"),
+    pytest.param("json", ONE_SEGMENT, id="json-one-segment"),
+])
+def test_a_run_never_holds_its_whole_output(tmp_path, fmt, text):
     path, out = tmp_path / "long.scenario", tmp_path / f"out.{fmt}"
-    path.write_text(LONG_STATIC)
+    path.write_text(text)
+    (tmp_path / "one.trace").write_text(f"universe: {UNIVERSE}\n0 20000 pur{{f00,f01,f02,f03}}\n")
     argv = ["run", "--scenario", str(path), "--format", fmt, "--out", str(out)]
     assert main(argv) == 0  # warm-up: imports and first-call set-up are not traced
     tracemalloc.start()
@@ -456,6 +468,22 @@ def test_a_verb_imports_only_what_it_runs(verb, loaded):
     proc = fresh_python("-c", COLD_START, verb, "--scenario", "scenarios/canary.scenario", cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == loaded + "\n"
+
+
+@pytest.mark.parametrize("argv, golden, lines", [
+    ("run --scenario scenarios/canary.scenario", "run-canary.csv", None),
+    ("demo fig2", "demo-fig2.csv", None),
+    ("sweep --scenario scenarios/static-walk.scenario --seeds 1..2", "sweep-static-walk-1..20.csv", 3),
+], ids=["run", "demo", "sweep"])
+def test_each_simulating_verb_works_as_the_first_call_in_a_fresh_interpreter(argv, golden, lines, tmp_path):
+    # no earlier call has read a simulator name in this process, so a verb
+    # that names one bare fails here, whatever the other tests ran
+    out = tmp_path / "out.csv"
+    proc = fresh_python("-c", COLD_START, *argv.split(), "--out", str(out), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "behaviorfit.simulate behaviorfit.controller json csv\n"
+    expected = (ROOT / "tests/data/golden" / golden).read_text().splitlines(keepends=True)[:lines]
+    assert out.read_text() == "".join(expected)
 
 
 # The sequence a traced benchmark replay runs in a process that has not

@@ -9,18 +9,26 @@ with long ones, so per-segment work in the loop, and the controller's
 repeat of its idle step, is checked here. The program's CSV and JSON
 must also equal, byte for byte, what the copy of the renderers frozen in
 ``conftest.py`` makes of the reference's report.
+
+Two metamorphic relations check the program against itself, with no
+reference, on the same generated scenarios and on the sample scenarios:
+splitting a segment in two leaves the CSV as it was, and scaling every
+cost by a power of two scales every row's costs by it and changes nothing
+else.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from behaviorfit import (
     SAFETY_THRESHOLD,
     BehaviorClass,
+    EnvironmentTrace,
+    Segment,
     load_scenario,
     parse_scenario,
     render_csv,
@@ -31,6 +39,7 @@ from behaviorfit import (
 from conftest import bench_module, frozen_csv, frozen_json
 
 ROOT = Path(__file__).resolve().parents[1]
+SAMPLES = sorted((ROOT / "scenarios").glob("*.scenario"))
 
 replay = bench_module("reference").replay
 workloads = bench_module("workloads")
@@ -46,7 +55,7 @@ def _check(scenario, seed: int) -> None:
     assert render_json(report) == frozen_json(expected)
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.scenario")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
 def test_sample_scenarios_match_the_reference(path):
     scenario = load_scenario(path)
     _check(scenario, scenario.turbulence.seed if scenario.turbulence else None)
@@ -254,3 +263,80 @@ def test_the_pinned_long_segment_example_acts_at_its_window_and_then_repeats():
 def test_long_segment_runs_match_the_reference(text):
     scenario = parse_scenario(text)
     _check(scenario, scenario.turbulence.seed)
+
+
+generated_scenarios = st.one_of(short_segment_scenarios(), long_segment_scenarios()).map(parse_scenario)
+
+
+def _pinned(scenario):
+    """``scenario`` with the trace it draws pinned, so a relation can
+    transform the trace itself."""
+    return replace(scenario, trace=scenario_trace(scenario), turbulence=None)
+
+
+def _split(scenario, cut: int):
+    """``scenario`` with each segment of two or more ticks split in two
+    segments of the same behavior; ``cut`` picks where."""
+    segments = []
+    for segment in scenario.trace.segments:
+        if segment.duration < 2:
+            segments.append(segment)
+            continue
+        first = 1 + cut % (segment.duration - 1)
+        segments.append(Segment(segment.start, first, segment.behavior))
+        segments.append(Segment(segment.start + first, segment.duration - first, segment.behavior))
+    return replace(scenario, trace=EnvironmentTrace(tuple(segments), scenario.trace.universe))
+
+
+def _check_split(scenario, cut: int) -> None:
+    scenario = _pinned(scenario)
+    assert render_csv(run_scenario(_split(scenario, cut))) == render_csv(run_scenario(scenario))
+
+
+def _check_scaled_costs(scenario, k: int) -> None:
+    """Every cost rate and sensor energy times 2**k and the weight over
+    2**k: the same rows but for ``cost`` and ``cum_cost``, which are
+    exactly 2**k times theirs. Scaling by a power of two commutes with
+    rounding while nothing overflows or falls to a subnormal."""
+    scale = 2.0**k
+    scenario = _pinned(scenario)
+    assume(scenario.weight / scale * scale == scenario.weight)
+    costs = scenario.costs
+    scaled = replace(
+        scenario,
+        costs=replace(costs, **{f.name: getattr(costs, f.name) * scale for f in fields(costs)}),
+        sensors=tuple(replace(sensor, energy_cost=sensor.energy_cost * scale) for sensor in scenario.sensors),
+        weight=scenario.weight / scale,
+    )
+    report, scaled_report = run_scenario(scenario), run_scenario(scaled)
+    assert scaled_report.rows == tuple(
+        replace(row, cost=row.cost * scale, cum_cost=row.cum_cost * scale) for row in report.rows
+    )
+    assert scaled_report.summary == replace(report.summary, total_cost=report.summary.total_cost * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_scenarios, st.integers(0, 2**16))
+def test_splitting_a_segment_leaves_the_csv_as_it_was(scenario, cut):
+    _check_split(scenario, cut)
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+@settings(max_examples=5, deadline=None)
+@given(cut=st.integers(0, 2**16))
+def test_splitting_a_sample_segment_leaves_the_csv_as_it_was(path, cut):
+    _check_split(load_scenario(path), cut)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_scenarios, st.integers(1, 10))
+def test_costs_times_a_power_of_two_scale_only_the_costs(scenario, k):
+    _check_scaled_costs(scenario, k)
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+@settings(max_examples=5, deadline=None)
+@given(k=st.integers(1, 10))
+@example(k=3)
+def test_sample_costs_times_a_power_of_two_scale_only_the_costs(path, k):
+    _check_scaled_costs(load_scenario(path), k)
