@@ -2,15 +2,15 @@
 
 Exit codes: 0 on success, 1 for validation errors, 2 for runtime errors.
 
-The simulator's names (``fig2_scenario``, ``render_csv``, ``render_json``,
-``run_scenario``, ``scenario_trace``) are attributes of this module: the
+The simulator's names ``render_csv``, ``render_json`` and ``run_scenario``,
+the three the traced benchmark swaps, are attributes of this module: the
 module ``__getattr__`` looks each up in ``behaviorfit.simulate`` on every
 read (PEP 562), so ``validate`` never imports the simulator. The verbs call
-them as attributes of this module, never as bare names, so a name set here
-is what they call, and deleting it brings back the simulator's. The verbs
-do not call ``render_csv`` or ``render_json``: they write the rows those
-two join straight to ``--out`` or stdout, one row at a time, and open the
-file only once the run has returned.
+them as attributes of this module, never as bare names (``sweep`` reads
+``run_scenario`` once), so a name set here is what they call, and deleting
+it brings back the simulator's. The verbs write the rows ``render_csv`` or
+``render_json`` would join straight to ``--out`` or stdout, one row at a
+time, and open the file only once the run has returned.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from pathlib import Path
 from .behavior import _ascii_number
 from .environment import format_trace
 from .metrics import FitVariant
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, fig2_scenario, load_scenario, scenario_trace
 
 __all__ = ["main"]
 
-_SIMULATOR = ("fig2_scenario", "render_csv", "render_json", "run_scenario", "scenario_trace")
+_SIMULATOR = ("render_csv", "render_json", "run_scenario")
 
 
 def __getattr__(name: str):
@@ -76,7 +76,7 @@ def _overridden(scenario: Scenario, args: argparse.Namespace, seed: int | None =
     ``--emit-trace`` share one draw. ``run_scenario`` validates the result."""
     return replace(
         scenario,
-        trace=_cli.scenario_trace(scenario, seed),
+        trace=scenario_trace(scenario, seed),
         turbulence=None,
         variant=FitVariant(args.fit_variant) if args.fit_variant else scenario.variant,
         weight=scenario.weight if args.cost_weight is None else args.cost_weight,
@@ -106,16 +106,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    report = _cli.run_scenario(_overridden(_cli.fig2_scenario(), args))
+    report = _cli.run_scenario(_overridden(fig2_scenario(), args))
     _emit(_render(report, args.format), args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario, run = load_scenario(args.scenario), _cli.run_scenario
     lines = ["seed,mean_finite_fit,neg_inf_ticks,total_cost\n"]
     for seed in args.seeds:
-        s = _cli.run_scenario(_overridden(scenario, args, seed)).summary
+        s = run(_overridden(scenario, args, seed)).summary
         lines.append(f"{seed},{s.mean_finite_fit!r},{s.neg_inf_ticks},{s.total_cost!r}\n")
     _emit(lines, args.out)
     return 0

@@ -1,8 +1,9 @@
-"""Scenario files: parsing and validation.
+"""Scenario files: parsing, validation and the trace a scenario runs on.
 
 The settings a scenario holds for its controller (``Capability``,
-``CostModel`` and the predictors) are defined here, so parsing and checking
-a scenario loads no controller and no simulator.
+``CostModel`` and the predictors), ``scenario_trace`` and the worked
+example ``fig2_scenario`` are defined here, so parsing, checking and
+tracing a scenario load no controller and no simulator.
 
 A scenario is a line-oriented ``key = value`` file describing one
 simulation run. ``#`` starts a comment. Example::
@@ -44,7 +45,7 @@ from typing import ClassVar, Mapping, get_type_hints
 from .behavior import (
     _FIGURE_RE, _TOKEN_CLASS, _ascii_number, Behavior, BehaviorClass, parse_behavior, parse_figures,
 )
-from .environment import EnvironmentTrace, TurbulenceSpec, parse_trace
+from .environment import EnvironmentTrace, TurbulenceSpec, fig2_trace, generate_trace, parse_trace
 from .metrics import FitVariant
 from .sensors import SensorNode
 
@@ -57,8 +58,10 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "WindowMajority",
+    "fig2_scenario",
     "load_scenario",
     "parse_scenario",
+    "scenario_trace",
     "validate_scenario",
 ]
 
@@ -342,3 +345,29 @@ def validate_scenario(s: Scenario) -> list[str]:
             if cost:
                 violations.append(f"costs.{key}: {_CONTROLLER_ONLY}")
     return violations
+
+
+def fig2_scenario() -> Scenario:
+    """The worked-example scenario: a static system over figures 1-4
+    facing the five-segment demonstration trace."""
+    return Scenario(
+        name="fig2",
+        universe=frozenset("12345"),
+        trace=fig2_trace(),
+        initial_behavior=Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset("1234")),
+    )
+
+
+def scenario_trace(scenario: Scenario, seed: int | None = None) -> EnvironmentTrace:
+    """The trace a run would use: the fixed one, which refuses a seed, or
+    the generated one with the seed override applied."""
+    spec = scenario.turbulence
+    if spec is None and seed is not None:
+        raise ScenarioError(f"seed {seed}: only a scenario with a turbulence spec takes a seed")
+    if scenario.trace is not None:
+        return scenario.trace
+    if spec is None:
+        raise ScenarioError("scenario has neither a trace nor a turbulence spec")
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    return generate_trace(spec, scenario.universe)

@@ -38,18 +38,17 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul, sub
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
-from .behavior import Behavior, BehaviorClass, format_behavior
+from .behavior import Behavior, format_behavior
 from .controller import Controller, SystemState, format_action, tick_cost
-from .environment import EnvironmentTrace, fig2_trace, generate_trace
 from .metrics import NEG_INFINITY, SupplyReport, fit, supply
-from .scenario import Scenario, ScenarioError, validate_scenario
+from .scenario import Scenario, ScenarioError, scenario_trace, validate_scenario
 from .sensors import awareness_mode, greedy_cover, required_coverage
 
 __all__ = [
@@ -57,11 +56,9 @@ __all__ = [
     "RunReport",
     "RunSummary",
     "TickRow",
-    "fig2_scenario",
     "render_csv",
     "render_json",
     "run_scenario",
-    "scenario_trace",
 ]
 
 CSV_COLUMNS = (
@@ -176,17 +173,6 @@ class RunReport:
             )))
 
 
-def fig2_scenario() -> Scenario:
-    """The worked-example scenario: a static system over figures 1-4
-    facing the five-segment demonstration trace."""
-    return Scenario(
-        name="fig2",
-        universe=frozenset("12345"),
-        trace=fig2_trace(),
-        initial_behavior=Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset("1234")),
-    )
-
-
 def _summary(runs: tuple[_Run, ...]) -> RunSummary:
     """The summary of the rows ``runs`` expand to. The mean is exactly
     rounded, so it does not depend on how the fits are grouped."""
@@ -200,21 +186,6 @@ def _summary(runs: tuple[_Run, ...]) -> RunSummary:
         neg_inf_ticks=ticks - finite_ticks,
         total_cost=runs[-1].cum_costs[-1],
     )
-
-
-def scenario_trace(scenario: Scenario, seed: int | None = None) -> EnvironmentTrace:
-    """The trace a run would use: the fixed one, which refuses a seed, or
-    the generated one with the seed override applied."""
-    spec = scenario.turbulence
-    if spec is None and seed is not None:
-        raise ScenarioError(f"seed {seed}: only a scenario with a turbulence spec takes a seed")
-    if scenario.trace is not None:
-        return scenario.trace
-    if spec is None:
-        raise ScenarioError("scenario has neither a trace nor a turbulence spec")
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    return generate_trace(spec, scenario.universe)
 
 
 def run_scenario(scenario: Scenario) -> RunReport:

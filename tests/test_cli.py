@@ -416,13 +416,13 @@ def test_emit_trace_round_trips_through_a_fixed_trace_run(scenario_file, tmp_pat
     trace_out = tmp_path / "used.trace"
     out1 = tmp_path / "gen.csv"
     draws = []
-    generate = behaviorfit.simulate.generate_trace
+    generate = behaviorfit.scenario.generate_trace
 
     def counted(*args):
         draws.append(args)
         return generate(*args)
 
-    monkeypatch.setattr(behaviorfit.simulate, "generate_trace", counted)
+    monkeypatch.setattr(behaviorfit.scenario, "generate_trace", counted)
     code = main(
         ["run", "--scenario", str(scenario_file), "--seed", "5",
          "--out", str(out1), "--emit-trace", str(trace_out)]

@@ -48,6 +48,8 @@ def test_a_bare_import_loads_no_module():
     ("Behavior", "behavior"),
     ("Capability", "behavior environment metrics scenario sensors"),
     ("Controller", "behavior controller environment metrics scenario sensors"),
+    ("scenario_trace", "behavior environment metrics scenario sensors"),
+    ("fig2_scenario", "behavior environment metrics scenario sensors"),
     ("dominates", "behavior controller cybernetic environment metrics scenario sensors"),
 ])
 def test_a_name_loads_the_modules_before_its_own(name, loaded):

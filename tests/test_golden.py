@@ -57,7 +57,7 @@ for _path in SCENARIOS:
     CASES[f"run-{_path.stem}.json"] = ["run", "--scenario", str(_path), "--format", "json"]
 CASES["demo-fig2.csv"] = ["demo", "fig2"]
 CASES["demo-fig2.json"] = ["demo", "fig2", "--format", "json"]
-for _stem in ("sensors", "static-walk"):
+for _stem in ("controller-walk", "sensors", "static-walk"):
     CASES[f"sweep-{_stem}-1..20.csv"] = [
         "sweep", "--scenario", str(ROOT / "scenarios" / f"{_stem}.scenario"), "--seeds", "1..20"
     ]

@@ -383,4 +383,6 @@ class TestShippedScenarios:
         assert report.summary.ticks > 0
 
     def test_the_sample_scenarios_are_present(self):
-        assert [p.stem for p in self.SCENARIOS] == ["alternating", "canary", "sensors", "static-fig2", "static-walk"]
+        assert [p.stem for p in self.SCENARIOS] == [
+            "alternating", "canary", "controller-walk", "sensors", "static-fig2", "static-walk",
+        ]
