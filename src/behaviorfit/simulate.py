@@ -6,13 +6,14 @@ generator for its kind of run, which yields the segment's runs: whole
 stretches of ticks whose rows are the same but for ``t``, ``cost`` and
 ``cum_cost``. A static system and greedy sensor selection face one
 environment behavior for a whole segment, so they score, select and price
-it once and yield the segment as one run; a sensor run builds its
-``greedy_cover`` once and asks it once per segment. The MAPE-K controller
-steps only the ticks where its prediction can change: after each step it
-takes the ticks that would repeat an idle step of the state in one go
-(``Controller.repeats``). A step that acts is a one-tick run; an idle
-step and the ticks that repeat it are priced as one stretch of the
-segment's idle run.
+it once and yield the segment as one run of one repeated cost; a static
+run works out its ``cum_cost``s when read, so a sweep builds no per-tick
+cost. A sensor run builds its ``greedy_cover`` once and asks it once per
+segment. The MAPE-K controller steps only the ticks where its prediction
+can change: after each step it takes the ticks that would repeat an idle
+step of the state in one go (``Controller.repeats``). A step that acts is
+a one-tick run; an idle step and the ticks that repeat it are priced as
+one stretch of the segment's idle run.
 
 The summary is worked out from the runs, and ``RunReport.rows`` builds
 the ``TickRow``s from them only when first read, so a sweep, which reads
@@ -99,7 +100,8 @@ class RunSummary:
 class _Run(NamedTuple):
     """A whole stretch of ticks ``start``, ``start + 1``, ... of a segment
     that share the behaviors, supply, fit, actions and mode; the sequences
-    ``costs`` and ``cum_costs`` hold tick ``start + k``'s at ``k``."""
+    ``costs`` and ``cum_costs`` hold tick ``start + k``'s at ``k``. A static
+    run's ``cum_costs`` are ``_Multiples``, worked out when read."""
 
     start: int
     env: Behavior
@@ -110,6 +112,22 @@ class _Run(NamedTuple):
     mode: float | None
     costs: Sequence[float]
     cum_costs: Sequence[float]
+
+
+class _Multiples(Sequence):
+    """``cost * k`` for each ``k`` of the range ``ks``, worked out when read."""
+
+    def __init__(self, cost: float, ks: range):
+        self.cost, self.ks = cost, ks
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, index: int) -> float:
+        return self.cost * self.ks[index]
+
+    def __iter__(self) -> Iterator[float]:
+        return map(mul, repeat(self.cost), self.ks)
 
 
 class _Rows(Sequence):
@@ -226,10 +244,8 @@ def _static_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_R
     for segment, mode, level in situations:
         env = segment.behavior
         report = supply(behavior, env)
-        # tick t's cum_cost is cost * (t + 1)
-        cums = tuple(map(mul, repeat(cost), range(segment.start + 1, segment.end + 1)))
         yield _Run(segment.start, env, behavior, report, fit(report, variant), (), level,
-                   (cost,) * segment.duration, cums)
+                   (cost,) * segment.duration, _Multiples(cost, range(segment.start + 1, segment.end + 1)))
 
 
 def _controller_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_Run]:
@@ -285,11 +301,15 @@ def _sensor_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_R
 def _row_texts(report: RunReport, shared: Callable, number: Callable) -> Iterator[str]:
     """Each row's text, one row at a time. ``shared(run)`` gives, once per
     run, the text before ``t``, before ``cost``, before ``cum_cost`` and
-    after it, and ``number`` writes the two costs."""
+    after it, and ``number`` writes the two costs. A cost that is the same
+    object as the row before's is not written again."""
+    last, cost_text = object(), ""
     for run in report.rows.runs:
         before_t, before_cost, before_cum, after = shared(run)
         for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs):
-            yield f"{before_t}{t}{before_cost}{number(cost)}{before_cum}{number(cum)}{after}"
+            if cost is not last:
+                last, cost_text = cost, number(cost)
+            yield f"{before_t}{t}{before_cost}{cost_text}{before_cum}{number(cum)}{after}"
 
 
 def _csv_chunks(report: RunReport) -> Iterator[str]:

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
 from itertools import accumulate, groupby, repeat
+from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import behaviorfit.cli
@@ -16,6 +18,7 @@ from behaviorfit import (
     CSV_COLUMNS,
     Capability,
     Controller,
+    CostModel,
     FitVariant,
     Oracle,
     Persistence,
@@ -28,12 +31,13 @@ from behaviorfit import (
     fig2_scenario,
     load_scenario,
     parse_scenario,
+    parse_trace,
     render_csv,
     render_json,
     run_scenario,
     scenario_trace,
 )
-from behaviorfit.simulate import _Rows, _Run, _summary
+from behaviorfit.simulate import _Multiples, _Rows, _Run, _summary
 from conftest import behaviors, frozen_csv, frozen_json, frozen_summary
 from test_golden import CONTROLLER, PREDICTORS, ROOT
 
@@ -106,6 +110,22 @@ class TestStaticRun:
     def test_scenario_trace_needs_a_trace_or_a_turbulence_spec(self):
         with pytest.raises(ScenarioError, match="neither a trace nor a turbulence spec"):
             scenario_trace(replace(fig2_scenario(), trace=None))
+
+    def test_a_long_segment_keeps_no_cumulative_cost_per_tick(self):
+        # the run's costs are one float repeated, 8 bytes a tick; a tuple of
+        # cumulative costs would add a pointer and a float per tick
+        ticks = 200_000
+        trace = parse_trace(f"universe: 1,2,3,4,5\n0 {ticks} pur{{1,2,3,4}}\n")
+        scenario = replace(fig2_scenario(), trace=trace, costs=CostModel(figure_cost=0.1))
+        tracemalloc.start()
+        try:
+            report = run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ticks < 16
+        cost = 0.1 * 4
+        assert report.summary.total_cost == report.rows[-1].cum_cost == cost * ticks
 
 
 class TestCostOverflow:
@@ -528,14 +548,18 @@ _costs = st.one_of(st.just(0), st.sampled_from([0.1, 0.2, 0.3, 1e-07]), st.float
 def drawn_runs(draw) -> tuple[_Run, ...]:
     """One to six contiguous runs of one to four ticks each, many of one
     tick, at a fixed cost per run with the cumulative cost added up tick
-    by tick."""
+    by tick, or, as a static run has it, worked out as ``cost * (t + 1)``
+    when read."""
     pools = draw(_pools)
     runs, start, cum = [], 0, 0.0
     for _ in range(draw(st.integers(1, 6))):
         shared = [draw(st.sampled_from(pools[field])) for field in ("env", "sys", "supply", "fit", "actions", "mode")]
         n = draw(st.sampled_from([1, 1, 2, 3, 4]))
         cost = draw(_costs)
-        cums = tuple(accumulate(repeat(cost, n), initial=cum))[1:]
+        if draw(st.booleans()):
+            cums = _Multiples(cost, range(start + 1, start + n + 1))
+        else:
+            cums = tuple(accumulate(repeat(cost, n), initial=cum))[1:]
         runs.append(_Run(start, *shared, (cost,) * n, cums))
         start, cum = start + n, cums[-1]
     return tuple(runs)
@@ -570,15 +594,35 @@ def test_rows_read_as_the_tuple_of_their_expanded_rows(runs):
     for part in (slice(1, -1), slice(None, None, 2), slice(n, None)):
         assert type(view[part]) is tuple and view[part] == rows[part]
     assert list(view) == list(rows) and list(reversed(view)) == list(reversed(rows))
-    # the rows carry the runs' own objects
+    # the rows carry the runs' own objects; a static run's cum_cost is
+    # worked out anew on each read, to the same bits
     for built, row in zip(view, rows):
         assert all(getattr(built, name) is getattr(row, name) for name in (
-            "env_behavior", "sys_behavior", "supply", "fit", "actions", "cost", "cum_cost", "mode"
+            "env_behavior", "sys_behavior", "supply", "fit", "actions", "cost", "mode"
         ))
+        assert _bits([built.cum_cost]) == _bits([row.cum_cost])
 
 
 def _bits(values) -> list:
     return [(type(value), repr(value)) for value in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 2**53), st.integers(0, 6))
+@example(5e-324, 0, 3)
+@example(1.7976931348623157e308, 0, 2)
+@example(0.1, 2**53 - 3, 3)
+def test_multiples_are_the_products_a_map_would_make(cost, start, n):
+    ks = range(start + 1, start + n + 1)
+    lazy, products = _Multiples(cost, ks), tuple(map(mul, repeat(cost), ks))
+    hexes = list(map(float.hex, products))
+    assert len(lazy) == n
+    assert list(map(float.hex, lazy)) == hexes
+    # every index from -n, through [-1], to n - 1
+    assert [float.hex(lazy[k]) for k in range(-n, n)] == hexes + hexes
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            lazy[index]
 
 
 @settings(max_examples=300, deadline=None)
