@@ -165,13 +165,8 @@ class SplitMix64:
     on every platform.
     """
 
-    MASK = _MASK
-
     def __init__(self, seed: int):
-        self._draws = _draws(seed)
-
-    def next_u64(self) -> int:
-        return next(self._draws)
+        self.next_u64 = _draws(seed).__next__
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -220,7 +215,7 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
     on the 64-bit output.
     """
     universe = frozenset(universe)
-    draw = _draws(spec.seed).__next__
+    draw = SplitMix64(spec.seed).next_u64
     ordered = sorted(universe)
     half, walk, flip = _below(0.5), _below(spec.class_walk), _below(spec.figure_flip)
     figures = {f for f in ordered if draw() < half}

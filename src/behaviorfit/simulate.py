@@ -15,9 +15,9 @@ step of the state in one go (``Controller.repeats``). A step that acts is
 a one-tick run; an idle step and the ticks that repeat it are priced as
 one stretch of the segment's idle run.
 
-The summary is worked out from the runs, and ``RunReport.rows`` builds
-the ``TickRow``s from them only when first read, so a sweep, which reads
-only summaries, and the renderers build none.
+The summary is worked out from the runs. ``RunReport.rows`` builds a
+``TickRow`` from its run each time it is read and keeps none, so a sweep,
+which reads only summaries, and the renderers build none.
 
 CSV columns, in order:
 ``t,env_behavior,sys_behavior,supply_kind,supply,fit,actions,cost,cum_cost,mode``.
@@ -131,42 +131,41 @@ class _Multiples(Sequence):
 
 
 class _Rows(Sequence):
-    """The read-only sequence of ``TickRow``s that ``runs`` expand to,
-    built on first read and kept. The rows share the runs' objects.
-    ``==`` and ``hash`` are those of the tuple of rows."""
+    """The read-only sequence of ``TickRow``s that ``runs`` expand to, each
+    built from its run when read and none kept. The rows share the runs'
+    objects. ``==`` and ``hash`` are those of the tuple of rows."""
 
-    __slots__ = ("runs", "_rows")
+    __slots__ = ("runs",)
 
     def __init__(self, runs: tuple[_Run, ...]):
         self.runs = runs
-        self._rows = None
-
-    def _tuple(self) -> tuple[TickRow, ...]:
-        if self._rows is None:
-            self._rows = tuple(
-                TickRow(t, run.env, run.sys, run.supply, run.fit, run.actions, cost, cum, run.mode)
-                for run in self.runs
-                for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs)
-            )
-        return self._rows
 
     def __len__(self) -> int:
         return sum(len(run.costs) for run in self.runs)
 
     def __getitem__(self, index):
-        return self._tuple()[index]
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        k = range(len(self))[index]
+        for run in self.runs:
+            if k < len(run.costs):
+                return TickRow(run.start + k, run.env, run.sys, run.supply, run.fit, run.actions,
+                               run.costs[k], run.cum_costs[k], run.mode)
+            k -= len(run.costs)
 
     def __iter__(self) -> Iterator[TickRow]:
-        return iter(self._tuple())
+        for run in self.runs:
+            for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs):
+                yield TickRow(t, run.env, run.sys, run.supply, run.fit, run.actions, cost, cum, run.mode)
 
     def __eq__(self, other):
-        return self._tuple().__eq__(other._tuple() if isinstance(other, _Rows) else other)
+        return tuple(self).__eq__(tuple(other) if isinstance(other, _Rows) else other)
 
     def __hash__(self) -> int:
-        return hash(self._tuple())
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(self._tuple())
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ class RunReport:
     """A run's name, its rows and its summary.
 
     ``rows`` is a read-only sequence of ``TickRow``s, kept as runs, that
-    compares and hashes as their tuple and is built only when first read.
+    compares and hashes as their tuple and builds a row each time it is read.
     Rows given as a sequence (or any iterable) are kept as one-tick runs,
     and read back as equal, new ``TickRow``s."""
 

@@ -29,6 +29,7 @@ from behaviorfit import (
     SupplyReport,
     TickRow,
     fig2_scenario,
+    format_behavior,
     load_scenario,
     parse_scenario,
     parse_trace,
@@ -124,8 +125,16 @@ class TestStaticRun:
         finally:
             tracemalloc.stop()
         assert peak / ticks < 16
+        # reading one row builds that row, not the rows before it
+        tracemalloc.start()
+        try:
+            last = report.rows[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
         cost = 0.1 * 4
-        assert report.summary.total_cost == report.rows[-1].cum_cost == cost * ticks
+        assert report.summary.total_cost == last.cum_cost == cost * ticks
 
 
 class TestCostOverflow:
@@ -195,6 +204,17 @@ class TestSensorRun:
     def test_actions_name_activated_sensors(self, tmp_path):
         report = run_scenario(self.make(tmp_path))
         assert all(a.startswith("activate:") for row in report.rows for a in row.actions)
+
+    def test_without_critical_figures_no_sensor_is_activated(self, tmp_path):
+        # the awareness level is 0, and energy-saving mode covers only the
+        # active critical figures, of which there are none
+        report = run_scenario(replace(self.make(tmp_path), critical=frozenset()))
+        assert all(row.env_behavior.figures for row in report.rows)
+        assert {
+            (format_behavior(row.sys_behavior), row.supply.kind, row.actions, row.cost, row.fit, row.mode)
+            for row in report.rows
+        } == {("pur{}", SupplyKind.UNDERSUPPLY, (), 0, NEG_INFINITY, 0.0)}
+        assert report.summary.total_cost == 0
 
     def test_full_coverage_never_undersupplies_on_turbulent_env(self):
         # the sensed behavior tracks the environment class, so full figure
@@ -521,11 +541,11 @@ class TestLazyRows:
             assert built == [], argv
         assert len(reports) == 7 and len(reports[-1].rows) == 120
         assert built == []
+        # reading a row builds that row alone, and none is kept
         assert reports[-1].rows[0].t == 0
-        assert built == list(range(120))
-        # the rows are built once and kept
-        assert reports[-1].rows[-1] is reports[-1].rows[119]
-        assert len(built) == 120
+        assert built == [0]
+        assert reports[-1].rows[-1].t == 119
+        assert built == [0, 119]
 
 
 # Pools of objects that the runs of one drawn report pick from, so that
