@@ -62,9 +62,9 @@ def predict(
 ) -> Behavior:
     """Predicted next environment behavior from past observations, given
     as ``(behavior, ticks)`` runs, oldest first; only the newest
-    ``predictor.window`` ticks are read. Persistence predicts the newest
-    observation. In a majority vote a figure or class counts once per tick
-    of each run that holds it, so the prediction always names its figures.
+    ``predictor.window`` ticks are read. Every windowed predictor, one-tick
+    persistence too, is a majority vote: a figure or class counts once per
+    tick of each run that holds it, so the prediction names its figures.
 
     The prediction is the top class, the newest on a tie, with every
     figure that at least half the ticks vote for; a run holding a strict
@@ -75,8 +75,6 @@ def predict(
         return oracle_next
     if not runs:
         raise ValueError("cannot predict from an empty history")
-    if isinstance(predictor, Persistence):
-        return runs[-1][0]
     # the newest runs holding ``predictor.window`` ticks, newest first
     window = []
     left = predictor.window
@@ -261,14 +259,14 @@ class Controller:
     def __init__(
         self,
         capability: Capability,
-        costs: CostModel | None = None,
-        predictor: Predictor | None = None,
+        costs: CostModel = CostModel(),
+        predictor: Predictor = Persistence(),
         weight: float = 0.0,
         variant: FitVariant = FitVariant.LINEAR,
     ):
         self.capability = capability
-        self.costs = costs if costs is not None else CostModel()
-        self.predictor = predictor if predictor is not None else Persistence()
+        self.costs = costs
+        self.predictor = predictor
         self.weight = weight
         self.variant = variant
         self.history: deque[list] = deque()

@@ -162,7 +162,7 @@ class SplitMix64:
     z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64). The outputs
     are computed ``_LANES`` at a time, one lane per state, in one packed
     int and unpacked little-endian, so they are the recurrence's numbers
-    on every platform.
+    on every platform. ``generate_trace`` draws segment lengths by ``random``.
     """
 
     def __init__(self, seed: int):
@@ -206,16 +206,18 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
 
     Draw order is fixed: first one uniform per figure (lexicographic
     order, inclusion at probability one half) for the initial set; then
-    per segment one uniform for the length (geometric with the configured
-    mean, truncated at the horizon; none at mean 1, where every segment
-    lasts one tick), one uniform for the lazy class walk (and one more
-    for its +/-1 direction, clamped to the class range), and one uniform
-    per figure for membership flips. The first segment starts purposeful.
-    A draw is tested against a probability as an exact integer threshold
-    on the 64-bit output.
+    per segment one ``SplitMix64.random`` uniform for the length
+    (geometric with the configured mean, truncated at the horizon; none at
+    mean 1, where every segment lasts one tick), one uniform for the lazy
+    class walk (and one more for its +/-1 direction, clamped to the class
+    range), and one uniform per figure for membership flips. The first
+    segment starts purposeful. A draw other than the length's is tested
+    against a probability as an exact integer threshold on the 64-bit
+    output.
     """
     universe = frozenset(universe)
-    draw = SplitMix64(spec.seed).next_u64
+    rng = SplitMix64(spec.seed)
+    draw, uniform = rng.next_u64, rng.random
     ordered = sorted(universe)
     half, walk, flip = _below(0.5), _below(spec.class_walk), _below(spec.figure_flip)
     figures = {f for f in ordered if draw() < half}
@@ -228,8 +230,7 @@ def generate_trace(spec: TurbulenceSpec, universe: frozenset[str]) -> Environmen
         if log_q is None:
             length = 1
         else:
-            u = (draw() >> 11) / (1 << 53)
-            length = min(math.floor(math.log1p(-u) / log_q) + 1, horizon - t)
+            length = min(math.floor(math.log1p(-uniform()) / log_q) + 1, horizon - t)
         behavior = _built(Behavior, klass=klass, figures=frozenset(figures), arity=None)
         segments.append(_built(Segment, start=t, duration=length, behavior=behavior))
         t += length

@@ -102,13 +102,6 @@ class CostModel:
 
 
 @dataclass(frozen=True)
-class Persistence:
-    """Predict that the last observed behavior continues."""
-
-    window: ClassVar[int] = 1
-
-
-@dataclass(frozen=True)
 class WindowMajority:
     """Per-figure majority vote and modal class over the last ``window``
     observations. A tied figure is included; a tied class falls to the
@@ -122,13 +115,21 @@ class WindowMajority:
 
 
 @dataclass(frozen=True)
+class Persistence(WindowMajority):
+    """Predict that the last observed behavior continues: the vote over a
+    one-tick window, so a behavior that names no figures continues with an empty set."""
+
+    window: int = field(default=1, init=False, repr=False)
+
+
+@dataclass(frozen=True)
 class Oracle:
     """Perfect one-tick lookahead; only available in simulation."""
 
     window: ClassVar[int] = 0
 
 
-Predictor = Persistence | WindowMajority | Oracle
+Predictor = WindowMajority | Oracle
 
 
 _UNSET_BEHAVIOR = Behavior(BehaviorClass.PURPOSEFUL, figures=frozenset())

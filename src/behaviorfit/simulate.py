@@ -113,6 +113,10 @@ class _Run(NamedTuple):
     costs: Sequence[float]
     cum_costs: Sequence[float]
 
+    def row(self, k: int) -> TickRow:
+        return TickRow(self.start + k, self.env, self.sys, self.supply, self.fit, self.actions,
+                       self.costs[k], self.cum_costs[k], self.mode)
+
 
 class _Multiples(Sequence):
     """``cost * k`` for each ``k`` of the range ``ks``, worked out when read."""
@@ -149,14 +153,17 @@ class _Rows(Sequence):
         k = range(len(self))[index]
         for run in self.runs:
             if k < len(run.costs):
-                return TickRow(run.start + k, run.env, run.sys, run.supply, run.fit, run.actions,
-                               run.costs[k], run.cum_costs[k], run.mode)
+                return run.row(k)
             k -= len(run.costs)
 
     def __iter__(self) -> Iterator[TickRow]:
         for run in self.runs:
             for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs):
                 yield TickRow(t, run.env, run.sys, run.supply, run.fit, run.actions, cost, cum, run.mode)
+
+    def __reversed__(self) -> Iterator[TickRow]:
+        for run in reversed(self.runs):
+            yield from map(run.row, reversed(range(len(run.costs))))
 
     def __eq__(self, other):
         return tuple(self).__eq__(tuple(other) if isinstance(other, _Rows) else other)

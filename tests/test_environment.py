@@ -270,6 +270,16 @@ class TestGenerateTrace:
         calls, segments = self._counted_draws(monkeypatch, spec)
         assert calls == draws == 2 + segments * (4 + (mean > 1))
 
+    @pytest.mark.parametrize("mean", [1, 2, 10])
+    def test_each_segment_length_is_one_random_draw(self, monkeypatch, mean):
+        # the length's uniform is SplitMix64.random on the trace's own
+        # stream; at mean 1 every segment lasts one tick and draws none
+        calls = []
+        random = SplitMix64.random
+        monkeypatch.setattr(SplitMix64, "random", lambda rng: calls.append(1) or random(rng))
+        segments = generate_trace(TurbulenceSpec(seed=3, mean_segment_len=mean, horizon=60), UNIVERSE).segments
+        assert len(calls) == (len(segments) if mean > 1 else 0)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TurbulenceSpec(seed=1, class_walk=1.5)

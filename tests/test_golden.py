@@ -142,6 +142,21 @@ def test_every_supported_python_writes_the_golden_bytes(version, tmp_path):
     assert [name for name in CASES if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()] == []
 
 
+@pytest.mark.parametrize("name", ["run-canary.csv", "run-alternating.csv", "controller-persistence.csv"])
+def test_majority_1_writes_the_persistence_golden(name, tmp_path, monkeypatch):
+    # persistence is the one-tick majority vote
+    monkeypatch.chdir(tmp_path)
+    write_inline_scenarios(tmp_path)
+    for trace in (ROOT / "scenarios").glob("*.trace"):
+        shutil.copy(trace, tmp_path)
+    text = Path(CASES[name][2]).read_text()
+    assert text.count("controller.predictor = persistence") == 1
+    one_tick = tmp_path / "majority1.scenario"
+    one_tick.write_text(text.replace("controller.predictor = persistence", "controller.predictor = majority:1"))
+    assert main(["run", "--scenario", str(one_tick), "--out", "out"]) == 0
+    assert (tmp_path / "out").read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_golden_files_are_exactly_the_cases():
     # a renamed or dropped case must not leave a stale golden file that looks tested
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)

@@ -363,6 +363,15 @@ class TestValidate:
         assert s.capability.universe == frozenset("12")
         assert s.predictor == Persistence()
 
+    def test_persistence_is_the_one_tick_majority(self):
+        assert isinstance(Persistence(), WindowMajority) and Persistence().window == 1
+        assert Persistence() == Persistence() != WindowMajority(1)
+        assert repr(Persistence()) == "Persistence()"
+        with pytest.raises(TypeError):
+            Persistence(1)
+        with pytest.raises(TypeError):
+            Persistence(window=2)
+
     def test_fig2_trace_matches_demo_scenario(self):
         assert fig2_scenario().trace == fig2_trace()
         # the built-in example and its scenario files are one worked example

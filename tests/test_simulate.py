@@ -623,6 +623,30 @@ def test_rows_read_as_the_tuple_of_their_expanded_rows(runs):
         assert _bits([built.cum_cost]) == _bits([row.cum_cost])
 
 
+class _CountedRuns(tuple):
+    """Runs that count how often they are walked, forwards or backwards."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.walks += 1
+        return iter(super().__getitem__(slice(None, None, -1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_runs())
+def test_reversed_rows_walk_the_runs_once(runs):
+    # a read by index scans the runs, so reading backwards by index would
+    # walk them once per row
+    counted = _CountedRuns(runs)
+    assert list(reversed(_Rows(counted))) == list(reversed(_expanded(runs)))
+    assert counted.walks == 1
+
+
 def _bits(values) -> list:
     return [(type(value), repr(value)) for value in values]
 
