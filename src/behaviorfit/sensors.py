@@ -5,8 +5,8 @@ active picks the operating point between energy-saving-first and
 safety-first; a greedy weighted set cover then activates the cheapest
 sensors that reach the required coverage. ``greedy_cover`` builds that
 cover once per inventory, with each sensor's coverage as an ``int`` mask,
-and a run asks it once per situation; ``select_sensors`` is the one-shot
-form of the same cover.
+and a run asks it once per distinct requirement; ``select_sensors`` is
+the one-shot form of the same cover.
 """
 
 from __future__ import annotations

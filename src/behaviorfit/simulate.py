@@ -9,11 +9,13 @@ environment behavior for a whole segment, so they score, select and price
 it once and yield the segment as one run of one repeated cost; a static
 run works out its ``cum_cost``s when read, so a sweep builds no per-tick
 cost. A sensor run builds its ``greedy_cover`` once and asks it once per
-segment. The MAPE-K controller steps only the ticks where its prediction
-can change: after each step it takes the ticks that would repeat an idle
-step of the state in one go (``Controller.repeats``). A step that acts is
-a one-tick run; an idle step and the ticks that repeat it are priced as
-one stretch of the segment's idle run.
+distinct requirement: it keeps each answer's sensed figures, cost and
+actions for the rest of the run, while the sensed behavior, supply and
+fit stay per segment. The MAPE-K controller steps only the ticks where
+its prediction can change: after each step it takes the ticks that would
+repeat an idle step of the state in one go (``Controller.repeats``). A
+step that acts is a one-tick run; an idle step and the ticks that repeat
+it are priced as one stretch of the segment's idle run.
 
 The summary is worked out from the runs. ``RunReport.rows`` builds a
 ``TickRow`` from its run each time it is read and keeps none, so a sweep,
@@ -28,9 +30,11 @@ keys in the same order.
 
 Both renderers share one walk over the runs: each format writes a run's
 behaviors, supply, fit, actions and mode once, and only ``t``, ``cost``
-and ``cum_cost`` per tick. The walk yields the text one row at a time, so
-the CLI writes it to its destination row by row and never holds the whole
-output; ``render_csv`` and ``render_json`` join the same chunks.
+and ``cum_cost`` per tick, as their ``repr``; JSON checks once per run
+that no cost is a non-finite float. The walk yields the text one row at
+a time, so the CLI writes it to its destination row by row and never
+holds the whole output; ``render_csv`` and ``render_json`` join the same
+chunks.
 ``render_json`` writes the text ``json.dumps(..., indent=2)`` would.
 """
 
@@ -287,35 +291,44 @@ def _sensor_runs(scenario: Scenario, situations: Iterator[tuple]) -> Iterator[_R
     by_id = {sensor.id: sensor for sensor in scenario.sensors}
     cover = greedy_cover(scenario.sensors)
     variant = scenario.variant
+    # requirement -> (sensed figures, cost, actions), each selected once per run
+    selections = {}
     cum = 0.0
     for segment, mode, level in situations:
         env = segment.behavior
-        chosen = sorted(cover(required_coverage(env.figures, scenario.critical, mode)))
+        required = required_coverage(env.figures, scenario.critical, mode)
+        selection = selections.get(required)
+        if selection is None:
+            chosen = sorted(cover(required))
+            selection = selections[required] = (
+                frozenset().union(*(by_id[i].coverage for i in chosen)),
+                sum(by_id[i].energy_cost for i in chosen),
+                tuple(f"activate:{i}" for i in chosen),
+            )
+        sensed, cost, actions = selection
         # The sensed behavior mirrors the environment's class: the network
         # tracks the situation, its scope is whatever the sensors cover.
-        system = Behavior(env.klass, figures=frozenset().union(*(by_id[i].coverage for i in chosen)))
-        cost = sum(by_id[i].energy_cost for i in chosen)
+        system = Behavior(env.klass, figures=sensed)
         report = supply(system, env)
         # cum += cost on every tick
         cums = tuple(islice(accumulate(repeat(cost, segment.duration), initial=cum), 1, None))
         cum = cums[-1]
-        actions = tuple(f"activate:{i}" for i in chosen)
         yield _Run(segment.start, env, system, report, fit(report, variant), actions, level,
                    (cost,) * segment.duration, cums)
 
 
-def _row_texts(report: RunReport, shared: Callable, number: Callable) -> Iterator[str]:
+def _row_texts(report: RunReport, shared: Callable) -> Iterator[str]:
     """Each row's text, one row at a time. ``shared(run)`` gives, once per
     run, the text before ``t``, before ``cost``, before ``cum_cost`` and
-    after it, and ``number`` writes the two costs. A cost that is the same
-    object as the row before's is not written again."""
+    after it; the two costs are written as their ``repr``. A cost that is
+    the same object as the row before's is not written again."""
     last, cost_text = object(), ""
     for run in report.rows.runs:
         before_t, before_cost, before_cum, after = shared(run)
         for t, cost, cum in zip(count(run.start), run.costs, run.cum_costs):
             if cost is not last:
-                last, cost_text = cost, number(cost)
-            yield f"{before_t}{t}{before_cost}{cost_text}{before_cum}{number(cum)}{after}"
+                last, cost_text = cost, repr(cost)
+            yield f"{before_t}{t}{before_cost}{cost_text}{before_cum}{cum!r}{after}"
 
 
 def _csv_chunks(report: RunReport) -> Iterator[str]:
@@ -332,7 +345,7 @@ def _csv_chunks(report: RunReport) -> Iterator[str]:
         return "", f",{line[:-1]},", ",", ",\n" if run.mode is None else f",{run.mode!r}\n"
 
     yield ",".join(CSV_COLUMNS) + "\n"
-    yield from _row_texts(report, shared, repr)
+    yield from _row_texts(report, shared)
 
 
 def render_csv(report: RunReport) -> str:
@@ -354,10 +367,10 @@ def _json_value(value: str | int | float | None) -> str:
 
 
 def _json_shared(run: _Run) -> tuple[str, str, str, str]:
-    tokens = ",\n".join(f"        {_json_value(token)}" for token in run.actions)
-    actions = f"[\n{tokens}\n      ]" if tokens else "[]"
+    tokens = ",\n        ".join(map(encode_basestring_ascii, run.actions))
+    actions = f"[\n        {tokens}\n      ]" if run.actions else "[]"
     fit_value = "-inf" if run.fit == NEG_INFINITY else run.fit
-    return (
+    texts = (
         '    {\n      "t": ',
         f',\n      "env_behavior": {_json_value(format_behavior(run.env))}'
         f',\n      "sys_behavior": {_json_value(format_behavior(run.sys))}'
@@ -368,6 +381,12 @@ def _json_shared(run: _Run) -> tuple[str, str, str, str]:
         ',\n      "cum_cost": ',
         f',\n      "mode": {_json_value(run.mode)}\n    }}',
     )
+    # x - x is 0 for an int of any size and for a finite float, and NaN for
+    # any other float: one check per run lets each row write its costs as repr
+    if any(map(sub, run.costs, run.costs)) or any(map(sub, run.cum_costs, run.cum_costs)):
+        for cost, cum in zip(run.costs, run.cum_costs):
+            _json_value(cost), _json_value(cum)
+    return texts
 
 
 def _json_chunks(report: RunReport) -> Iterator[str]:
@@ -376,7 +395,7 @@ def _json_chunks(report: RunReport) -> Iterator[str]:
     summary = ",\n".join(f'    "{key}": {_json_value(value)}' for key, value in asdict(report.summary).items())
     yield f'{{\n  "name": {_json_value(report.name)},\n  "summary": {{\n{summary}\n  }},\n  "rows": '
     sep = "[\n"
-    for text in _row_texts(report, _json_shared, _json_value):
+    for text in _row_texts(report, _json_shared):
         yield sep + text
         sep = ",\n"
     yield "[]\n}\n" if sep == "[\n" else "\n  ]\n}\n"

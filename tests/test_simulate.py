@@ -28,6 +28,7 @@ from behaviorfit import (
     SupplyKind,
     SupplyReport,
     TickRow,
+    awareness_mode,
     fig2_scenario,
     format_behavior,
     load_scenario,
@@ -35,11 +36,12 @@ from behaviorfit import (
     parse_trace,
     render_csv,
     render_json,
+    required_coverage,
     run_scenario,
     scenario_trace,
 )
 from behaviorfit.simulate import _Multiples, _Rows, _Run, _summary
-from conftest import behaviors, frozen_csv, frozen_json, frozen_summary
+from conftest import behaviors, bench_module, frozen_csv, frozen_json, frozen_summary
 from test_golden import CONTROLLER, PREDICTORS, ROOT
 
 LN3 = math.log(3)
@@ -216,6 +218,30 @@ class TestSensorRun:
         } == {("pur{}", SupplyKind.UNDERSUPPLY, (), 0, NEG_INFINITY, 0.0)}
         assert report.summary.total_cost == 0
 
+    def test_a_repeated_requirement_keeps_each_segment_its_own_class(self, tmp_path):
+        # {1,3} is required by two consecutive segments of different classes
+        # and again later, {} by two consecutive segments of different figures:
+        # a run selects once per requirement, but the sensed behavior takes
+        # each segment's class
+        (tmp_path / "repeat.trace").write_text(
+            "universe: 1,2,3\n0 4 pur{1,3}\n4 3 pro{1,3}\n7 2 pur{1}\n9 3 pur{2}\n"
+            "12 2 pur{1,2,3}\n14 3 rea{1,3}\n17 3 pur{1,3}\n"
+        )
+        (tmp_path / "repeat.scenario").write_text(
+            "universe = 1,2,3\ntrace.file = repeat.trace\n"
+            "sensors.a = {1,2} 1.0\nsensors.b = {3} 0.5\nsensors.c = {1,3} 0.9\ncritical = {3}\n"
+        )
+        scenario = load_scenario(tmp_path / "repeat.scenario")
+        report = run_scenario(scenario)
+        runs = report.rows.runs
+        assert [format_behavior(run.sys) for run in runs] == [
+            "pur{1,3}", "pro{1,3}", "pur{}", "pur{}", "pur{1,2,3}", "rea{1,3}", "pur{1,3}"
+        ]
+        assert [run.sys.klass for run in runs] == [run.env.klass for run in runs]
+        assert render_csv(report) == frozen_csv(report)
+        assert render_json(report) == frozen_json(report)
+        assert report.rows == bench_module("reference").replay(scenario, None).rows
+
     def test_full_coverage_never_undersupplies_on_turbulent_env(self):
         # the sensed behavior tracks the environment class, so full figure
         # coverage keeps supply non-negative whatever the turbulence does
@@ -236,7 +262,8 @@ class TestSensorRun:
 
 class TestPerSegmentEvaluation:
     """A static or sensor run faces one environment behavior for a whole
-    segment, so it scores and selects once per segment, not once per tick."""
+    segment, so it scores once per segment, not once per tick; a sensor run
+    selects once per distinct requirement."""
 
     TEXT = (
         "universe = 1,2,3\nturbulence.seed = 7\nturbulence.mean_segment_len = 4\n"
@@ -266,15 +293,23 @@ class TestPerSegmentEvaluation:
             return select
 
         counting("supply")
-        # a sensor run builds its cover once and selects with it per segment
+        # a sensor run builds its cover once and selects with it once per
+        # distinct requirement
         counting("greedy_cover", counting_cover)
         scenario = parse_scenario(self.TEXT + (self.SENSORS if kind == "sensors" else self.STATIC))
         segments = scenario_trace(scenario).segments
+        requirements = {
+            required_coverage(active, scenario.critical, awareness_mode(active, scenario.critical))
+            for active in (segment.behavior.figures for segment in segments)
+        }
         report = run_scenario(scenario)
         assert len(report.rows) == 200 > len(segments) > 1
         assert calls["supply"] == len(segments)
         assert calls["greedy_cover"] == (1 if kind == "sensors" else 0)
-        assert calls["cover"] == (len(segments) if kind == "sensors" else 0)
+        assert calls["cover"] == (len(requirements) if kind == "sensors" else 0)
+        if kind == "sensors":
+            # the trace repeats a requirement, so fewer selections than segments
+            assert 1 < len(requirements) < len(segments)
         # every tick of a segment carries the segment's one report
         for segment in segments:
             assert len({id(row.supply) for row in report.rows[segment.start:segment.end]}) == 1
@@ -495,6 +530,34 @@ def test_json_refuses_a_number_it_would_write_as_infinity_or_nan(field, value):
     row = replace(report.rows[0], **{field: value})
     with pytest.raises(ValueError, match="as a JSON number"):
         render_json(replace(report, rows=(row,)))
+
+
+def _one_run_report(costs, cum_costs) -> RunReport:
+    """A report of one hand-built run of ``len(costs)`` rows."""
+    row = run_scenario(fig2_scenario()).rows[0]
+    run = _Run(0, row.env_behavior, row.sys_behavior, row.supply, row.fit, ("activate:a",), row.mode,
+               costs, cum_costs)
+    return RunReport("hand-built", _Rows((run,)), RunSummary(len(costs), 1.0, 0, 0.0))
+
+
+@pytest.mark.parametrize("field", ["cost", "cum_cost"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_refuses_a_non_finite_cost_in_the_middle_of_a_run(field, value):
+    costs, cum_costs = [0.5, 0.5, 0.5], [0.5, 1.0, 1.5]
+    (costs if field == "cost" else cum_costs)[1] = value
+    with pytest.raises(ValueError, match=f"cannot write {value!r} as a JSON number"):
+        render_json(_one_run_report(costs, cum_costs))
+
+
+def test_json_writes_an_int_cost_of_any_size_as_an_int():
+    # an int too large for a float has no finiteness to check: math.isfinite
+    # would raise OverflowError on it
+    report = _one_run_report([0, 10**400, 1], [10**400, 10**400 + 1, -(10**400)])
+    rows = json.loads(render_json(report))["rows"]
+    assert [(row["cost"], row["cum_cost"]) for row in rows] == [
+        (0, 10**400), (10**400, 10**400 + 1), (1, -(10**400))
+    ]
+    assert render_json(report) == frozen_json(report)
 
 
 class TestLazyRows:
